@@ -1,0 +1,68 @@
+"""CLI outputs compared field by field with committed golden CSVs.
+
+The files in tests/golden/ were written by an earlier version of the
+code and are never regenerated: a refactor that changes a result must
+show up here.  Floats are compared to one unit of the 12th printed
+significant digit rather than as strings, because a rounding-level
+change in a matrix can flip that last digit.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from ehub.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "sweep_L6.csv": ["sweep", "--L", "6", "--l", "1,2,3",
+                     "--grid-u", "-4:4:1", "--grid-v", "-2:2:0.5"],
+    "sweep_L8.csv": ["sweep", "--L", "8", "--l", "3",
+                     "--grid-u", "-4:4:1", "--grid-v", "-2:2:0.5"],
+    "momentum_L8.csv": ["momentum", "--L", "8", "--k", "1.1780972451",
+                        "--U", "-2", "--grid-v", "-1:0.5:0.1"],
+}
+
+EXACT = ("L", "l", "U", "V", "bc", "degenerate", "dominant")
+FLOATS = ("energy", "entropy_bits", "gap")
+DEGENERATE_GAP_ATOL = 1e-8
+
+
+def _last_digit_unit(*values: float) -> float:
+    """One unit of the 12th significant digit of the largest value.
+
+    The slack of 1e-6 units absorbs the binary representation of two
+    decimals that differ by exactly one unit.
+    """
+    scale = max(abs(v) for v in values)
+    if scale == 0.0:
+        return 0.0
+    return 10.0 ** (math.floor(math.log10(scale)) - 11) * (1 + 1e-6)
+
+
+def _read(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="ascii") as handle:
+        return list(csv.DictReader(handle))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    want = _read(GOLDEN / name)
+    got = _read(out)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        where = f"{name} row {i + 1}"
+        for key in EXACT:
+            assert g[key] == w[key], f"{where}: {key} {g[key]} != {w[key]}"
+        for key in FLOATS:
+            a, b = float(g[key]), float(w[key])
+            tol = _last_digit_unit(a, b)
+            if key == "gap" and w["degenerate"] == "1":
+                tol = DEGENERATE_GAP_ATOL
+            assert abs(a - b) <= tol, f"{where}: {key} {g[key]} vs golden {w[key]}"
