@@ -230,12 +230,6 @@ class BlockSpec:
             raise ValueError(f"block mode {self.modes[-1]} exceeds mode count {nmodes}")
         return tuple(m for m in range(nmodes) if m not in block)
 
-    def mask(self) -> int:
-        word = 0
-        for m in self.modes:
-            word |= 1 << m
-        return word
-
     def is_prefix(self) -> bool:
         """True when the block is exactly the lowest len(modes) modes."""
         return self.modes == tuple(range(len(self.modes)))

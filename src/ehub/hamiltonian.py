@@ -69,7 +69,6 @@ class SparseHamiltonian:
     """Hermitian sparse operator over a sector basis (CSR storage)."""
 
     matrix: sparse.csr_matrix
-    hermitian: bool = True
 
     @property
     def dimension(self) -> int:
@@ -134,21 +133,21 @@ class RealTerms:
     diag_v: np.ndarray
 
 
-def _hopping_matrix(basis: SectorBasis, bc: str) -> sparse.csr_matrix:
-    L = basis.sector.L
+def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
+    """sum of coeff * c^dag_dst c_src over a sector basis, as canonical CSR.
+
+    ``hops`` yields (dst_mode, src_mode, coeff) triples; the matrix is
+    real when every coefficient is.
+    """
     dim = len(basis)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for a in range(L):
-        for b in ((a + 1) % L, (a - 1) % L):
-            twist = -1.0 if bc == "antiperiodic" and {a, b} == {0, L - 1} else 1.0
-            for spin in (UP, DOWN):
-                steps = [(mode_index(a, spin), "annihilate"), (mode_index(b, spin), "create")]
-                tgt, src, sgn = apply_operator_string(basis, steps)
-                rows.append(tgt)
-                cols.append(src)
-                vals.append(-twist * sgn.astype(np.float64))
+    for dst, src, coeff in hops:
+        tgt, source, sgn = apply_operator_string(basis, [(src, "annihilate"), (dst, "create")])
+        rows.append(tgt)
+        cols.append(source)
+        vals.append(coeff * sgn.astype(np.float64))
     mat = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -157,6 +156,17 @@ def _hopping_matrix(basis: SectorBasis, bc: str) -> sparse.csr_matrix:
     out.sum_duplicates()
     out.sort_indices()
     return out
+
+
+def _hopping_matrix(basis: SectorBasis, bc: str) -> sparse.csr_matrix:
+    L = basis.sector.L
+    hops = []
+    for a in range(L):
+        for b in ((a + 1) % L, (a - 1) % L):
+            twist = -1.0 if bc == "antiperiodic" and {a, b} == {0, L - 1} else 1.0
+            for spin in (UP, DOWN):
+                hops.append((mode_index(b, spin), mode_index(a, spin), -twist))
+    return one_body_matrix(basis, hops)
 
 
 @lru_cache(maxsize=6)

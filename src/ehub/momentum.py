@@ -6,12 +6,21 @@ the periodic grid even m.  Momentum modes are ordered like sites,
 mode(n, s) = 2*n + s over the grid index n, so the same configuration
 encoding, sector enumeration, and splitting machinery apply unchanged.
 
-The interaction terms are generated by enumerating quartic operator
-strings over grid-resolved momentum triples and applying each string to
-the whole basis; the kinetic term is diagonal with dispersion
--2 t cos k.  Diagonalizing this construction directly (rather than
-rotating a real-space eigenvector) gives an independent cross-check of
-the real-space build through spectrum equality.
+The kinetic term is diagonal with dispersion -2 t cos k.  The
+interaction terms are sums of products of one-body density operators
+rho^s_q = sum_k c^dag_{k+q,s} c_{k,s}, each built by the same one-body
+builder as the real-space hopping, over the L lattice transfers
+q = 2 pi n / L:
+
+    sum_j n_{j,up} n_{j,dn} = (1/L) sum_q rho^up_q rho^dn_{-q}
+    sum_j n_j n_{j+1}       = (1/L) sum_q cos(q) rho_q rho_{-q}
+
+with rho_q = rho^up_q + rho^dn_q.  The second line is the Fourier form
+(1/L) sum_q e^{iq} rho_q rho_{-q}: all rho_q commute, so the sine parts
+of q and -q cancel and both terms are real matrices.  Diagonalizing
+this construction directly (rather than rotating a real-space
+eigenvector) gives an independent cross-check of the real-space build
+through spectrum equality.
 """
 
 from __future__ import annotations
@@ -29,11 +38,10 @@ from .fock import (
     BlockSpec,
     Sector,
     SectorBasis,
-    apply_operator_string,
     enumerate_sector,
     mode_index,
 )
-from .hamiltonian import ModelParams, SparseHamiltonian, boundary_for
+from .hamiltonian import ModelParams, SparseHamiltonian, boundary_for, one_body_matrix
 
 
 def _fold(m: int, L: int) -> int:
@@ -133,8 +141,8 @@ class MomentumTerms:
     """Coupling-independent factors: H = t*diag(kinetic) + U*onsite + V*neighbor."""
 
     kinetic: np.ndarray  # dispersion sums at t = 1
-    onsite: sparse.csr_matrix  # coefficient of U
-    neighbor: sparse.csr_matrix  # coefficient of V
+    onsite: sparse.csr_matrix  # coefficient of U, real
+    neighbor: sparse.csr_matrix  # coefficient of V, real
 
 
 def _kinetic_diagonal(basis: SectorBasis, grid: MomentumGrid) -> np.ndarray:
@@ -147,96 +155,49 @@ def _kinetic_diagonal(basis: SectorBasis, grid: MomentumGrid) -> np.ndarray:
     return diag
 
 
-def _accumulate(
-    basis: SectorBasis,
-    steps: list[tuple[int, str]],
-    coeff: complex,
-    rows: list[np.ndarray],
-    cols: list[np.ndarray],
-    vals: list[np.ndarray],
-) -> None:
-    tgt, src, sgn = apply_operator_string(basis, steps)
-    if tgt.size == 0:
-        return
-    rows.append(tgt)
-    cols.append(src)
-    vals.append(coeff * sgn.astype(np.complex128))
+def _density(basis: SectorBasis, grid: MomentumGrid, qm: int, spin: int) -> sparse.csr_matrix:
+    """rho^spin_q = sum_k c^dag_{k+q,spin} c_{k,spin}, a real matrix."""
+    hops = (
+        (grid.mode(grid.index_of(m + qm), spin), grid.mode(n, spin), 1.0)
+        for n, m in enumerate(grid.mints)
+    )
+    return one_body_matrix(basis, hops)
 
 
-def _onsite_matrix(basis: SectorBasis, grid: MomentumGrid) -> sparse.csr_matrix:
-    """(1/L) sum over k, k', q of c^dag_{k+q,up} c^dag_{k'-q,dn} c_{k',dn} c_{k,up}."""
-    L = grid.L
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for n2 in range(L):  # annihilated up momentum k
-        m2 = grid.mints[n2]
-        for n4 in range(L):  # annihilated down momentum k'
-            m4 = grid.mints[n4]
-            for n1 in range(L):  # created up momentum k + q
-                m1 = grid.mints[n1]
-                n3 = grid.index_of(m2 + m4 - m1)  # created down momentum k' - q
-                steps = [
-                    (grid.mode(n2, UP), "annihilate"),
-                    (grid.mode(n4, DOWN), "annihilate"),
-                    (grid.mode(n3, DOWN), "create"),
-                    (grid.mode(n1, UP), "create"),
-                ]
-                _accumulate(basis, steps, 1.0 / L, rows, cols, vals)
-    return _to_csr(rows, cols, vals, len(basis))
+def _sum_of_products(terms) -> sparse.csr_matrix:
+    """sum of coeff * a @ b over (coeff, a, b) as canonical CSR.
 
-
-def _neighbor_matrix(basis: SectorBasis, grid: MomentumGrid) -> sparse.csr_matrix:
-    """(1/L) sum_q e^{iq} rho_q rho_{-q} with rho_q = sum c^dag_{k+q} c_k."""
-    L = grid.L
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    transfers = sorted({_fold(ma - mb, L) for ma in grid.mints for mb in grid.mints})
-    for qm in transfers:
-        phase = np.exp(1j * pi * qm / L) / L
-        for na in range(L):  # rho_{-q}: c^dag_{k-q} c_k
-            n_ka = grid.index_of(grid.mints[na] - qm)
-            for sa in (UP, DOWN):
-                for nb in range(L):  # rho_q: c^dag_{k'+q} c_{k'}
-                    n_kb = grid.index_of(grid.mints[nb] + qm)
-                    for sb in (UP, DOWN):
-                        steps = [
-                            (grid.mode(na, sa), "annihilate"),
-                            (grid.mode(n_ka, sa), "create"),
-                            (grid.mode(nb, sb), "annihilate"),
-                            (grid.mode(n_kb, sb), "create"),
-                        ]
-                        _accumulate(basis, steps, phase, rows, cols, vals)
-    return _to_csr(rows, cols, vals, len(basis))
-
-
-def _to_csr(rows, cols, vals, dim: int) -> sparse.csr_matrix:
-    if not rows:
-        return sparse.csr_matrix((dim, dim), dtype=np.complex128)
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-        dtype=np.complex128,
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    # drop entries that cancelled exactly so conservation laws are structural
-    mat.data[np.abs(mat.data) < 1e-15] = 0.0
-    mat.eliminate_zeros()
-    return mat
+    Entries that cancel up to rounding are dropped so that momentum
+    conservation stays structural.
+    """
+    out = None
+    for coeff, a, b in terms:
+        prod = coeff * (a @ b)
+        out = prod if out is None else out + prod
+    out.sum_duplicates()
+    out.data[np.abs(out.data) < 1e-12] = 0.0
+    out.eliminate_zeros()
+    return out
 
 
 @lru_cache(maxsize=4)
 def _cached_momentum_terms(sector: Sector, bc: str) -> MomentumTerms:
     grid = allowed_momenta(sector.L, bc)
     basis = enumerate_sector(sector)
+    L = grid.L
     kin = _kinetic_diagonal(basis, grid)
     kin.flags.writeable = False
+    transfers = [grid.fold(2 * n) for n in range(L)]  # q = 2 pi n / L on either grid
+    rho = {(qm, s): _density(basis, grid, qm, s) for qm in transfers for s in (UP, DOWN)}
+    total = {qm: rho[qm, UP] + rho[qm, DOWN] for qm in transfers}
     return MomentumTerms(
         kinetic=kin,
-        onsite=_onsite_matrix(basis, grid),
-        neighbor=_neighbor_matrix(basis, grid),
+        onsite=_sum_of_products(
+            (1.0 / L, rho[qm, UP], rho[grid.fold(-qm), DOWN]) for qm in transfers
+        ),
+        neighbor=_sum_of_products(
+            (cos(pi * qm / L) / L, total[qm], total[grid.fold(-qm)]) for qm in transfers
+        ),
     )
 
 

@@ -273,10 +273,15 @@ def momentum_scan(
     rows = []
     for v in v_values:
         params = replace(probe, V=v)
-        result = ground_state(params, space="momentum", **solver.kwargs())
-        rdm = reduced_density_matrix(result, basis, block)
-        entropy = von_neumann_entropy(rdm)
-        q = total_momentum(dominant_config(result, basis), grid)
+        try:
+            result = ground_state(params, space="momentum", **solver.kwargs())
+            rdm = reduced_density_matrix(result, basis, block)
+            entropy = von_neumann_entropy(rdm)
+            q = total_momentum(dominant_config(result, basis), grid)
+        except Exception as exc:  # error rows keep the scan going
+            _log(verbose, f"[point] L={L} U={U:g} V={v:g} failed: {exc}")
+            rows.extend(_error_rows(params, [len(block.modes)], exc))
+            continue
         rows.append(
             SweepRow(
                 L=L, l=len(block.modes), U=U, V=v, bc=grid.bc,

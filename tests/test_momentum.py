@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from ehub.fock import Sector, enumerate_sector
-from ehub.hamiltonian import ModelParams, build_real_hamiltonian
+from ehub.hamiltonian import (
+    ModelParams,
+    build_real_hamiltonian,
+    double_occupancy_counts,
+    neighbor_density_products,
+)
 from ehub.momentum import (
     allowed_momenta,
     build_momentum_hamiltonian,
     momentum_pair_block,
+    momentum_terms,
     total_momentum,
     total_momentum_int,
 )
@@ -58,6 +64,25 @@ def test_full_spectrum_matches_real_space_L4(nup, ndn):
         wr = np.linalg.eigvalsh(build_real_hamiltonian(params, basis).toarray())
         wm = np.linalg.eigvalsh(build_momentum_hamiltonian(params, basis).toarray())
         np.testing.assert_allclose(wr, wm, atol=1e-9)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("L", [4, 6])
+def test_interaction_terms_match_closed_form_spectra(L, bc):
+    # each term alone is a diagonal real-space operator, so its momentum-basis
+    # spectrum is the sorted list of its per-configuration values
+    for nup in range(L + 1):
+        for ndn in range(L + 1):
+            basis = enumerate_sector(Sector(L, nup, ndn))
+            terms = momentum_terms(basis, bc)
+            want_u = np.sort(double_occupancy_counts(basis.configs, L))
+            want_v = np.sort(neighbor_density_products(basis.configs, L))
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(terms.onsite.toarray()), want_u, rtol=0, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(terms.neighbor.toarray()), want_v, rtol=0, atol=1e-9
+            )
 
 
 def test_hermiticity_defect():

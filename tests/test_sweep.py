@@ -188,6 +188,16 @@ def test_momentum_scan_free_point_has_zero_entropy():
     assert rows[0].dominant.startswith("q=")
 
 
+def test_momentum_scan_failed_point_gives_error_row():
+    rows = momentum_scan(
+        8, 3 * np.pi / 8, -2.0, [-0.5, 0.0], solver=SolverOptions(max_iter=2), verbose=False
+    )
+    assert [r.V for r in rows] == [-0.5, 0.0]
+    for r in rows:
+        assert np.isnan(r.entropy_bits)
+        assert r.dominant.startswith("error:")
+
+
 def test_momentum_scan_fermi_shell_minimum_matches_real_space_feature():
     # the +-3pi/8 shell sits at the half-filled Fermi surface of the
     # 8-site twisted ring; its entanglement dip lines up with the
