@@ -219,11 +219,12 @@ def build_momentum_hamiltonian(
     if grid is not None and (grid.bc != bc or grid.L != params.L):
         raise ValueError(f"grid {grid.bc}/L={grid.L} inconsistent with params {bc}/L={params.L}")
     terms = momentum_terms(basis, bc)
+    # the terms are real; the sum is cast once so the solve stays complex Hermitian
     mat = (
-        sparse.diags(params.t * terms.kinetic).astype(np.complex128)
+        sparse.diags(params.t * terms.kinetic)
         + params.U * terms.onsite
         + params.V * terms.neighbor
-    ).tocsr()
+    ).astype(np.complex128).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return SparseHamiltonian(matrix=mat)
