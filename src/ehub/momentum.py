@@ -167,8 +167,9 @@ def _density(basis: SectorBasis, grid: MomentumGrid, qm: int, spin: int) -> spar
 def _sum_of_products(terms) -> sparse.csr_matrix:
     """sum of coeff * a @ b over (coeff, a, b) as canonical CSR.
 
-    Entries that cancel up to rounding are dropped so that momentum
-    conservation stays structural.
+    Entries that cancel up to rounding are dropped: a cos(q) sum leaves
+    ~1e-17 residues where the exact element is zero, and keeping them
+    would store a denser pattern than the operator has.
     """
     out = None
     for coeff, a, b in terms:
