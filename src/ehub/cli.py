@@ -74,7 +74,7 @@ _FLAGS: dict[str, tuple[str, str]] = {
     "tol": ("float", "eigensolver energy tolerance (default 1e-10)"),
     "max-iter": ("int", "Lanczos iteration cap (default 2000)"),
     "seed": ("int", "start-vector seed (default 1)"),
-    "threads": ("int", "worker count for grids (default 1)"),
+    "threads": ("int", "worker count for sweep (default 1; other subcommands take only 1)"),
     "out": ("str", "output file (default: stdout)"),
     "format": ("format", "output format: csv|matrix"),
     "config": ("str", "key=value config file; flags take precedence"),
@@ -207,6 +207,8 @@ def parse_args(argv=None) -> RunConfig:
         "t": r.get("t", 1.0),
         "bc": r.get("bc", "auto"),
     }
+    if values["threads"] != 1 and sub != "sweep":
+        raise UsageError(f"--threads applies only to sweep; {sub} runs serially")
 
     def model(L: int, U: float, V: float) -> ModelParams:
         try:
@@ -274,8 +276,6 @@ def parse_args(argv=None) -> RunConfig:
             momentum_pair_block(allowed_momenta(values["L"], bc), values["k"])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    elif sub == "validate":
-        pass
     return RunConfig(subcommand=sub, values=values)
 
 

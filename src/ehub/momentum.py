@@ -211,7 +211,7 @@ def momentum_terms(basis: SectorBasis, bc: str) -> MomentumTerms:
 def build_momentum_hamiltonian(
     params: ModelParams, basis: SectorBasis, grid: MomentumGrid | None = None
 ) -> SparseHamiltonian:
-    """Assemble the Hamiltonian in the momentum occupation basis (complex Hermitian)."""
+    """Assemble the Hamiltonian in the momentum occupation basis (real symmetric)."""
     if params.L != basis.sector.L:
         raise ValueError(
             f"parameter L={params.L} does not match basis L={basis.sector.L}"
@@ -220,12 +220,11 @@ def build_momentum_hamiltonian(
     if grid is not None and (grid.bc != bc or grid.L != params.L):
         raise ValueError(f"grid {grid.bc}/L={grid.L} inconsistent with params {bc}/L={params.L}")
     terms = momentum_terms(basis, bc)
-    # the terms are real; the sum is cast once so the solve stays complex Hermitian
     mat = (
         sparse.diags(params.t * terms.kinetic)
         + params.U * terms.onsite
         + params.V * terms.neighbor
-    ).astype(np.complex128).tocsr()
+    ).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return SparseHamiltonian(matrix=mat)

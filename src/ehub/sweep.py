@@ -1,10 +1,12 @@
 """Drivers for grids of ground-state runs and their post-processing.
 
 Every driver returns plain row records and leaves rendering to the CSV
-and matrix writers, so outputs are deterministic: grid points are
-assembled in row-major (U outer, V inner) order regardless of how many
-workers computed them, per-point failures become error rows instead of
-aborting the grid, and floats are printed with 12 significant digits.
+and matrix writers, so outputs are deterministic.  One executor,
+``_run_points``, runs the points of every driver: it returns rows in
+point order regardless of how many workers computed them, and turns a
+point whose solve fails into error rows instead of aborting the scan.
+Grids are row-major (U outer, V inner), and floats are printed with 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -138,6 +140,25 @@ def _error_rows(params: ModelParams, block_sizes, exc: Exception) -> list[SweepR
     ]
 
 
+def _run_points(points, block_sizes, solve, workers: int, verbose: bool) -> list[SweepRow]:
+    """The rows of ``solve(params)`` at every point, in point order for any
+    worker count; a point whose solve raises gives error rows instead."""
+
+    def one(params: ModelParams) -> list[SweepRow]:
+        try:
+            return solve(params)
+        except Exception as exc:  # error rows keep the scan going
+            _log(verbose, f"[point] L={params.L} U={params.U:g} V={params.V:g} failed: {exc}")
+            return _error_rows(params, block_sizes, exc)
+
+    if workers == 1:
+        chunks = [one(p) for p in points]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(one, points))
+    return [row for chunk in chunks for row in chunk]
+
+
 def run_grid(spec: SweepSpec, verbose: bool = True) -> list[SweepRow]:
     """Rows for every grid point, U outer and V inner, in deterministic order."""
     points = [
@@ -145,20 +166,9 @@ def run_grid(spec: SweepSpec, verbose: bool = True) -> list[SweepRow]:
         for u in spec.u_values
         for v in spec.v_values
     ]
-
-    def solve(params: ModelParams) -> list[SweepRow]:
-        try:
-            return run_point(params, spec.block_sizes, spec.solver, verbose=verbose)
-        except Exception as exc:  # error rows keep the grid going
-            _log(verbose, f"[point] U={params.U:g} V={params.V:g} failed: {exc}")
-            return _error_rows(params, spec.block_sizes, exc)
-
-    if spec.workers == 1:
-        chunks = [solve(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            chunks = list(pool.map(solve, points))
-    return [row for chunk in chunks for row in chunk]
+    return _run_points(points, spec.block_sizes,
+                       lambda p: run_point(p, spec.block_sizes, spec.solver, verbose=verbose),
+                       spec.workers, verbose)
 
 
 def derivative_scan(
@@ -175,27 +185,25 @@ def derivative_scan(
 ) -> list[tuple[float, float]]:
     """Central-difference d(entropy)/dV on a grid of V values.
 
-    ``entropy_fn(V)`` may be injected (mainly for testing); the default
-    evaluates the block entropy through run_point.  Evaluations are
-    memoized so overlapping stencils cost one solve each.
+    The stencil values are solved once each, as one run_grid call at
+    fixed U, so overlapping stencils share a solve and a failed stencil
+    point gives NaN derivatives where it is used.  ``entropy_fn(V)`` may
+    be injected in place of the solves (mainly for testing).
     """
     if h <= 0:
         raise ValueError(f"stencil width must be positive, got h={h}")
-    cache: dict[float, float] = {}
-
-    def default_entropy(v: float) -> float:
-        params = ModelParams(L=L, U=U, V=v, t=t, bc=bc)
-        return run_point(params, [l], solver, verbose=verbose)[0].entropy_bits
-
-    fn = entropy_fn or default_entropy
-
-    def at(v: float) -> float:
-        key = round(v, 9)
-        if key not in cache:
-            cache[key] = fn(v)
-        return cache[key]
-
-    return [(v, (at(v + h) - at(v - h)) / (2.0 * h)) for v in v_values]
+    stencil: dict[float, float] = {}
+    for v in v_values:
+        for x in (v + h, v - h):
+            stencil.setdefault(round(x, 9), x)
+    if entropy_fn is None:
+        spec = SweepSpec(L=L, block_sizes=(l,), u_values=(U,),
+                         v_values=tuple(stencil.values()), bc=bc, t=t, solver=solver)
+        entropies = [row.entropy_bits for row in run_grid(spec, verbose=verbose)]
+    else:
+        entropies = [entropy_fn(x) for x in stencil.values()]
+    at = dict(zip(stencil, entropies))
+    return [(v, (at[round(v + h, 9)] - at[round(v - h, 9)]) / (2.0 * h)) for v in v_values]
 
 
 @dataclass(frozen=True)
@@ -239,20 +247,10 @@ def size_scan(
     """Per-L curves along one coupling axis, with dominant-config labels."""
     if axis not in ("U", "V"):
         raise ValueError(f"axis must be 'U' or 'V', got {axis!r}")
-    for L in L_values:
-        if l >= L:
-            raise ValueError(f"block size {l} must be below every system size, got L={L}")
-    rows = []
-    for L in L_values:
-        for value in values:
-            u, v = (value, fixed) if axis == "U" else (fixed, value)
-            params = ModelParams(L=L, U=u, V=v, t=t, bc=bc)
-            try:
-                rows.extend(run_point(params, [l], solver, verbose=verbose))
-            except Exception as exc:
-                _log(verbose, f"[point] L={L} U={u:g} V={v:g} failed: {exc}")
-                rows.extend(_error_rows(params, [l], exc))
-    return rows
+    grid = (tuple(values), (fixed,)) if axis == "U" else ((fixed,), tuple(values))
+    # every spec is built, and so checked, before the first solve
+    specs = [SweepSpec(L, (l,), *grid, bc=bc, t=t, solver=solver) for L in L_values]
+    return [row for spec in specs for row in run_grid(spec, verbose=verbose)]
 
 
 def momentum_scan(
@@ -270,31 +268,27 @@ def momentum_scan(
     grid = allowed_momenta(L, probe.resolved_bc())
     block = momentum_pair_block(grid, k)
     basis = enumerate_sector(Sector.half_filled(L))
-    rows = []
-    for v in v_values:
-        params = replace(probe, V=v)
-        try:
-            result = ground_state(params, space="momentum", **solver.kwargs())
-            rdm = reduced_density_matrix(result, basis, block)
-            entropy = von_neumann_entropy(rdm)
-            q = total_momentum(dominant_config(result, basis), grid)
-        except Exception as exc:  # error rows keep the scan going
-            _log(verbose, f"[point] L={L} U={U:g} V={v:g} failed: {exc}")
-            rows.extend(_error_rows(params, [len(block.modes)], exc))
-            continue
-        rows.append(
+
+    def solve(params: ModelParams) -> list[SweepRow]:
+        result = ground_state(params, space="momentum", **solver.kwargs())
+        rdm = reduced_density_matrix(result, basis, block)
+        entropy = von_neumann_entropy(rdm)
+        q = total_momentum(dominant_config(result, basis), grid)
+        _log(
+            verbose,
+            f"[point] L={L} U={U:g} V={params.V:g} momentum block {block.descriptor} "
+            f"E0={result.energy:.10g} S={entropy:.6f}",
+        )
+        return [
             SweepRow(
-                L=L, l=len(block.modes), U=U, V=v, bc=grid.bc,
+                L=L, l=len(block.modes), U=U, V=params.V, bc=grid.bc,
                 energy=result.energy, gap=result.gap, entropy_bits=entropy,
                 degenerate=result.degenerate, dominant=f"q={q:+.6f}",
             )
-        )
-        _log(
-            verbose,
-            f"[point] L={L} U={U:g} V={v:g} momentum block {block.descriptor} "
-            f"E0={result.energy:.10g} S={entropy:.6f}",
-        )
-    return rows
+        ]
+
+    points = [replace(probe, V=v) for v in v_values]
+    return _run_points(points, [len(block.modes)], solve, 1, verbose)
 
 
 def _fmt(x: float) -> str:

@@ -91,7 +91,7 @@ def check_spectrum_equality_medium() -> CheckResult:
         params = ModelParams(L=8, U=U, V=V)
         wr = np.linalg.eigvalsh(build_real_hamiltonian(params, basis).toarray())[:5]
         hm = build_momentum_hamiltonian(params, basis).matrix
-        v0 = _lcg_start_vector(hm.shape[0], 7, np.complex128)
+        v0 = _lcg_start_vector(hm.shape[0], 7, hm.dtype)
         wm = np.sort(spla.eigsh(hm, k=12, which="SA", v0=v0, tol=0)[0])[:5]
         worst = float(np.abs(wr - wm).max())
         return worst <= 1e-8, f"L=8 lowest-5 max deviation {worst:.2e} at (U,V)=({U},{V})"

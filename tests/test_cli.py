@@ -141,6 +141,30 @@ def test_derivative_subcommand(capsys):
     assert len(lines) == 3
 
 
+def test_derivative_failed_stencil_point_prints_nan(capsys):
+    # an iteration cap of 2 cannot converge the L=8 stencil points
+    code, out, _ = run_cli(
+        capsys, "derivative", "--L", "8", "--l", "4", "--U", "0",
+        "--grid-v", "0:0.1:0.1", "--h", "0.05", "--max-iter", "2",
+    )
+    assert code == 0
+    assert out == "V,dS_dV\n0,nan\n0.1,nan\n"
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("sizescan", ["--l", "2", "--L", "4,6", "--axis", "U", "--grid-u", "0:1:1", "--V", "0"]),
+    ("derivative", ["--L", "4", "--l", "2", "--U", "0", "--grid-v", "0:0.1:0.1"]),
+    ("momentum", ["--L", "4", "--k", f"{np.pi / 4:.10f}", "--U", "0", "--grid-v", "0:0:1"]),
+    ("entropy", ["--L", "4", "--U", "0", "--V", "0", "--l", "2"]),
+])
+def test_threads_is_refused_outside_sweep(capsys, sub, flags):
+    code, out, err = run_cli(capsys, sub, *flags, "--threads", "3")
+    assert code == 2
+    assert "--threads" in err and out == ""
+    code, _, _ = run_cli(capsys, sub, *flags, "--threads", "1")
+    assert code == 0
+
+
 def test_momentum_subcommand_and_snap(capsys):
     code, out, _ = run_cli(
         capsys, "momentum", "--L", "4", "--k", f"{np.pi / 4:.10f}",

@@ -56,11 +56,12 @@ def test_free_case_is_diagonal_with_filled_sea_minimum():
     assert dense_diag.min() == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("nup,ndn", [(2, 2), (1, 1)])
-def test_full_spectrum_matches_real_space_L4(nup, ndn):
-    basis = enumerate_sector(Sector(4, nup, ndn))
+# L=4 is antiperiodic and L=6 periodic under the auto boundary rule
+@pytest.mark.parametrize("L,nup,ndn", [(4, 2, 2), (4, 1, 1), (6, 3, 3)])
+def test_full_spectrum_matches_real_space(L, nup, ndn):
+    basis = enumerate_sector(Sector(L, nup, ndn))
     for U, V in SAMPLES:
-        params = ModelParams(L=4, U=U, V=V)
+        params = ModelParams(L=L, U=U, V=V)
         wr = np.linalg.eigvalsh(build_real_hamiltonian(params, basis).toarray())
         wm = np.linalg.eigvalsh(build_momentum_hamiltonian(params, basis).toarray())
         np.testing.assert_allclose(wr, wm, atol=1e-9)

@@ -132,6 +132,13 @@ def test_derivative_scan_memoizes_overlapping_stencils():
     assert len(calls) == len(set(calls))
 
 
+def test_derivative_scan_failed_stencil_point_gives_nan():
+    # an iteration cap of 2 cannot converge the L=8 stencil points
+    table = derivative_scan(8, 4, 0.0, [0.0, 0.1], h=0.05, solver=SolverOptions(max_iter=2))
+    assert [v for v, _ in table] == [0.0, 0.1]
+    assert all(np.isnan(d) for _, d in table)
+
+
 def test_derivative_scan_consistent_with_spline_slope():
     # central differences against the derivative of a cubic-spline fit of
     # the same entropy samples, on a smooth region
@@ -179,6 +186,16 @@ def test_size_scan_labels_and_shape():
         size_scan(4, [4, 6], "U", [0.0], fixed=0.0, verbose=False)
     with pytest.raises(ValueError):
         size_scan(2, [6], "W", [0.0], fixed=0.0, verbose=False)
+
+
+def test_size_scan_failed_point_gives_error_row():
+    # L=6 is solved densely and ignores the iteration cap; L=8 cannot converge
+    solver = SolverOptions(max_iter=2)
+    rows = size_scan(2, [6, 8], "U", [2.0], fixed=1.0, solver=solver, verbose=False)
+    assert [(r.L, r.U, r.V) for r in rows] == [(6, 2.0, 1.0), (8, 2.0, 1.0)]
+    assert rows_to_csv(rows[:1]) == rows_to_csv(run_point(ModelParams(L=6, U=2.0, V=1.0), [2], solver))
+    assert np.isnan(rows[1].entropy_bits)
+    assert rows[1].dominant == "error:ConvergenceError"
 
 
 def test_momentum_scan_free_point_has_zero_entropy():
