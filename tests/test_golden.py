@@ -29,6 +29,10 @@ CASES = {
     "derivative_L8.csv": ["derivative", "--L", "8", "--l", "4", "--U", "-2",
                           "--grid-v", "-0.6:0.2:0.1", "--h", "0.05"],
     "scaling_L10.csv": ["scaling", "--L", "10", "--U", "-2", "--V", "-1"],
+    "local_L6.csv": ["local", "--L", "6", "--U", "4", "--V", "0.5", "--site", "3",
+                     "--t", "1.5"],
+    "entropy_L6.csv": ["entropy", "--L", "6", "--U", "-2", "--V", "-0.5", "--l", "1,2,3",
+                       "--bc", "antiperiodic", "--t", "1.5"],
 }
 
 # Columns compared as strings; every other column is a float.
