@@ -1,25 +1,30 @@
 """Command line front end.
 
 Subcommands: ground, entropy, local, sweep, scaling, sizescan,
-derivative, momentum, validate.  All flags may also be supplied through
-a flat key=value config file (--config); command-line flags win.
-Results go to standard output as CSV unless --out is given; per-point
-progress goes to standard error.  Exit codes: 0 success, 1 computational
-failure, 2 usage error.
+derivative, momentum, validate.  ``SUBCOMMANDS`` holds one record per
+subcommand: the flags it reads, the ones it requires, and the function
+that builds its inputs, runs the driver and returns the text to emit.
+A subcommand accepts only its own flags (``ehub SUB --help`` lists
+them); any other flag is a usage error.  The flags may also be supplied
+through a flat key=value config file (--config) whose keys must be flags
+of the same subcommand; command-line flags win.  Results go to standard
+output as CSV unless --out is given; per-point progress goes to
+standard error.  Exit codes: 0 success, 1 computational failure, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .eigen import ConvergenceError, ground_state
 from .fock import Sector, enumerate_sector
-from .hamiltonian import BC_CHOICES, ModelParams
+from .hamiltonian import BC_CHOICES, ModelParams, boundary_for
+from .momentum import allowed_momenta, momentum_pair_block
 from .rdm import local_entanglement, local_weights
 from .sweep import (
     SolverOptions,
@@ -37,80 +42,229 @@ from .sweep import (
     write_text,
 )
 
-SUBCOMMANDS = (
-    "ground", "entropy", "local", "sweep", "scaling",
-    "sizescan", "derivative", "momentum", "validate",
-)
-
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    values: dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.values.get(key, default)
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.split(","))
 
 
-_FLAGS: dict[str, tuple[str, str]] = {
-    # name -> (value kind, help)
-    "L": ("int_list", "site count (sizescan accepts a comma list)"),
-    "U": ("float", "on-site coupling"),
-    "V": ("float", "nearest-neighbor coupling"),
-    "l": ("int_list", "block size(s), comma separated"),
-    "t": ("float", "hopping amplitude (default 1)"),
-    "bc": ("bc", "boundary condition: auto|periodic|antiperiodic"),
-    "grid-u": ("range", "U grid as min:max:step"),
-    "grid-v": ("range", "V grid as min:max:step"),
-    "k": ("float", "momentum in radians, snapped to the grid"),
-    "h": ("float", "central-difference half step (default 0.05)"),
-    "tol": ("float", "eigensolver energy tolerance (default 1e-10)"),
-    "max-iter": ("int", "Lanczos iteration cap (default 2000)"),
-    "seed": ("int", "start-vector seed (default 1)"),
-    "threads": ("int", "worker count for sweep (default 1; other subcommands take only 1)"),
-    "out": ("str", "output file (default: stdout)"),
-    "format": ("format", "output format: csv|matrix"),
-    "config": ("str", "key=value config file; flags take precedence"),
-    "axis": ("axis", "scan axis for sizescan: U|V"),
-    "site": ("int", "site index for local weights (default 0)"),
-    "plot-script": ("str", "also write a gnuplot command file here"),
+def _choice(*allowed: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in allowed:
+            raise ValueError(f"must be one of {'|'.join(allowed)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+_FLAGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
+    # name -> (parser, default or None, help)
+    "L": (_int_list, None, "site count (sizescan accepts a comma list)"),
+    "U": (float, None, "on-site coupling"),
+    "V": (float, None, "nearest-neighbor coupling"),
+    "l": (_int_list, None, "block size(s), comma separated"),
+    "t": (float, 1.0, "hopping amplitude"),
+    "bc": (_choice(*BC_CHOICES), "auto", "boundary condition: auto|periodic|antiperiodic"),
+    "grid-u": (parse_range, None, "U grid as min:max:step"),
+    "grid-v": (parse_range, None, "V grid as min:max:step"),
+    "k": (float, None, "momentum in radians, snapped to the grid"),
+    "h": (float, 0.05, "central-difference half step"),
+    "tol": (float, 1e-10, "eigensolver energy tolerance"),
+    "max-iter": (int, 2000, "Lanczos iteration cap"),
+    "seed": (int, 1, "start-vector seed"),
+    "threads": (int, 1, "worker count; only sweep takes more than 1"),
+    "out": (str, None, "output file (default: stdout)"),
+    "format": (_choice("csv", "matrix"), "csv", "output format: csv|matrix"),
+    "config": (str, None, "key=value config file; flags take precedence"),
+    "axis": (_choice("U", "V"), None, "scan axis: U|V"),
+    "site": (int, 0, "site index, 0 <= site < L"),
+    "plot-script": (str, None, "also write a gnuplot command file here"),
 }
 
 
-def _parse_value(kind: str, raw: str) -> Any:
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "str":
-        return raw
-    if kind == "int_list":
-        return tuple(int(p) for p in raw.split(","))
-    if kind == "range":
-        return parse_range(raw)
-    if kind == "bc":
-        if raw not in BC_CHOICES:
-            raise ValueError(f"bc must be one of {BC_CHOICES}, got {raw!r}")
-        return raw
-    if kind == "format":
-        if raw not in ("csv", "matrix"):
-            raise ValueError(f"format must be csv or matrix, got {raw!r}")
-        return raw
-    if kind == "axis":
-        if raw not in ("U", "V"):
-            raise ValueError(f"axis must be U or V, got {raw!r}")
-        return raw
-    raise ValueError(f"unknown flag kind {kind}")
+def _require(opts: dict[str, Any], flags) -> None:
+    missing = [f"--{flag}" for flag in flags if flag not in opts]
+    if missing:
+        raise UsageError(f"missing required flag {', '.join(missing)}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _solver(o: dict[str, Any]) -> SolverOptions:
+    return SolverOptions(tol=o["tol"], max_iter=o["max-iter"], seed=o["seed"])
+
+
+def _single_L(o: dict[str, Any]) -> int:
+    if len(o["L"]) != 1:
+        raise UsageError("this subcommand takes a single --L")
+    return o["L"][0]
+
+
+def _single_l(o: dict[str, Any]) -> int:
+    if len(o["l"]) != 1:
+        raise UsageError("this subcommand takes a single block size")
+    return o["l"][0]
+
+
+def _model(o: dict[str, Any]) -> ModelParams:
+    try:
+        return ModelParams(L=_single_L(o), U=o["U"], V=o["V"], t=o["t"], bc=o["bc"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _csv_line(header: str, cells) -> str:
+    return header + "\n" + ",".join(cells) + "\n"
+
+
+def _ground(o: dict[str, Any]) -> str:
+    params = _model(o)
+    result = ground_state(params, **_solver(o).kwargs())
+    return _csv_line(
+        "L,U,V,bc,energy,gap,residual,degenerate,method,iterations",
+        [
+            str(params.L), f"{params.U:.12g}", f"{params.V:.12g}", params.resolved_bc(),
+            f"{result.energy:.12g}", f"{result.gap:.12g}", f"{result.residual:.3e}",
+            "1" if result.degenerate else "0", result.method, str(result.iterations),
+        ],
+    )
+
+
+def _entropy(o: dict[str, Any]) -> str:
+    return rows_to_csv(run_point(_model(o), o["l"], _solver(o), verbose=True))
+
+
+def _local(o: dict[str, Any]) -> str:
+    params = _model(o)
+    site = o["site"]
+    if not 0 <= site < params.L:
+        raise UsageError(f"--site must satisfy 0 <= site < {params.L}, got {site}")
+    result = ground_state(params, **_solver(o).kwargs())
+    weights = local_weights(result, enumerate_sector(Sector.half_filled(params.L)), site=site)
+    entropy = local_entanglement(weights)
+    return _csv_line(
+        "L,U,V,site,z,u_plus,u_minus,w,entropy_bits",
+        [str(params.L), f"{params.U:.12g}", f"{params.V:.12g}", str(site)]
+        + [f"{x:.12g}" for x in (weights.z, weights.u_plus, weights.u_minus, weights.w, entropy)],
+    )
+
+
+def _sweep_spec(o: dict[str, Any]) -> SweepSpec:
+    try:
+        return SweepSpec(
+            L=_single_L(o),
+            block_sizes=o["l"],
+            # the default window brackets every feature of the phase diagram
+            u_values=o.get("grid-u", parse_range("-4:4:0.1")),
+            v_values=o.get("grid-v", parse_range("-2:2:0.1")),
+            bc=o["bc"],
+            t=o["t"],
+            solver=_solver(o),
+            workers=o["threads"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _sweep(o: dict[str, Any]) -> str:
+    spec = _sweep_spec(o)
+    if o["format"] == "csv":
+        return rows_to_csv(run_grid(spec))
+    if len(spec.block_sizes) != 1:
+        raise UsageError("matrix output needs exactly one block size")
+    return rows_to_matrix(run_grid(spec), spec.u_values, spec.v_values)
+
+
+def _scaling(o: dict[str, Any]) -> str:
+    params = _model(o)
+    block_sizes = o.get("l", tuple(range(1, params.L // 2 + 1)))
+    rows = run_point(params, block_sizes, _solver(o), verbose=True)
+    fit = scaling_fit([row.l for row in rows], [row.entropy_bits for row in rows])
+    return _csv_line(
+        "slope,intercept,r_squared",
+        [f"{fit.slope:.12g}", f"{fit.intercept:.12g}", f"{fit.r_squared:.12g}"],
+    )
+
+
+def _sizescan(o: dict[str, Any]) -> str:
+    # the scanned axis reads its grid, the other axis its fixed coupling
+    axis = o["axis"]
+    if axis == "U":
+        grid, fixed, unread = "grid-u", "V", ("grid-v", "U")
+    else:
+        grid, fixed, unread = "grid-v", "U", ("grid-u", "V")
+    for flag in unread:
+        if flag in o:
+            raise UsageError(f"--axis {axis} does not read --{flag}")
+    _require(o, (grid, fixed))
+    rows = size_scan(
+        _single_l(o), o["L"], axis, o[grid], fixed=o[fixed], bc=o["bc"], t=o["t"],
+        solver=_solver(o),
+    )
+    return rows_to_csv(rows)
+
+
+def _derivative(o: dict[str, Any]) -> str:
+    table = derivative_scan(
+        _single_L(o), _single_l(o), o["U"], o["grid-v"], h=o["h"], bc=o["bc"], t=o["t"],
+        solver=_solver(o), verbose=True,
+    )
+    return "\n".join(["V,dS_dV"] + [f"{v:.12g},{d:.12g}" for v, d in table]) + "\n"
+
+
+def _momentum(o: dict[str, Any]) -> str:
+    L = _single_L(o)
+    try:
+        bc = boundary_for(L) if o["bc"] == "auto" else o["bc"]
+        momentum_pair_block(allowed_momenta(L, bc), o["k"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    rows = momentum_scan(L, o["k"], o["U"], o["grid-v"], bc=o["bc"], t=o["t"], solver=_solver(o))
+    return rows_to_csv(rows)
+
+
+def _validate(o: dict[str, Any]) -> int:
+    from .validate import run_validation
+
+    return 0 if all(r.passed for r in run_validation()) else 1
+
+
+class Subcommand(NamedTuple):
+    flags: tuple[str, ...]
+    required: tuple[str, ...]
+    # returns the text to emit, or the exit code of a subcommand that prints as it goes
+    run: Callable[[dict[str, Any]], str | int]
+
+
+_COMMON = ("t", "bc", "tol", "max-iter", "seed", "threads", "out", "config")
+_POINT = ("L", "U", "V")
+
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "ground": Subcommand(_POINT + _COMMON, _POINT, _ground),
+    "entropy": Subcommand(_POINT + ("l", "plot-script") + _COMMON, _POINT + ("l",), _entropy),
+    "local": Subcommand(_POINT + ("site",) + _COMMON, _POINT, _local),
+    "sweep": Subcommand(
+        ("L", "l", "grid-u", "grid-v", "format", "plot-script") + _COMMON, ("L", "l"), _sweep
+    ),
+    "scaling": Subcommand(_POINT + ("l",) + _COMMON, _POINT, _scaling),
+    "sizescan": Subcommand(
+        ("L", "l", "axis", "grid-u", "V", "grid-v", "U", "plot-script") + _COMMON,
+        ("L", "l", "axis"),
+        _sizescan,
+    ),
+    "derivative": Subcommand(
+        ("L", "l", "U", "grid-v", "h") + _COMMON, ("L", "l", "U", "grid-v"), _derivative
+    ),
+    "momentum": Subcommand(
+        ("L", "k", "U", "grid-v", "plot-script") + _COMMON, ("L", "k", "U", "grid-v"), _momentum
+    ),
+    "validate": Subcommand((), (), _validate),
+}
+
+
+def _load_config_file(path: str, sub: str) -> dict[str, str]:
+    keys = set(SUBCOMMANDS[sub].flags) - {"config"}
     table: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -121,8 +275,8 @@ def _load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _FLAGS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in keys:
+                    raise UsageError(f"{path}:{lineno}: {key!r} is not a flag of {sub}")
                 table[key] = raw
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -135,31 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact diagonalization and block entanglement for the extended Hubbard chain.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="|".join(SUBCOMMANDS))
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        for flag, (_, help_text) in _FLAGS.items():
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in command.flags:
+            _, default, help_text = _FLAGS[flag]
+            if flag in command.required:
+                help_text += " (required)"
+            elif default is not None:
+                help_text += f" (default {default})"
             p.add_argument(f"--{flag}", type=str, default=None, help=help_text, dest=flag)
     return parser
-
-
-class _Resolver:
-    def __init__(self, ns: argparse.Namespace, config: dict[str, str]):
-        self.ns = ns
-        self.config = config
-
-    def get(self, flag: str, default: Any = None, required: bool = False) -> Any:
-        kind = _FLAGS[flag][0]
-        raw = getattr(self.ns, flag, None)
-        if raw is None:
-            raw = self.config.get(flag)
-        if raw is None:
-            if required:
-                raise UsageError(f"missing required flag --{flag}")
-            return default
-        try:
-            return _parse_value(kind, raw)
-        except ValueError as exc:
-            raise UsageError(f"bad value for --{flag}: {exc}") from exc
 
 
 def _merge_flag_values(argv: list[str]) -> list[str]:
@@ -182,224 +321,46 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def parse_args(argv=None) -> RunConfig:
-    parser = _build_parser()
+def parse_args(argv=None) -> tuple[str, dict[str, Any]]:
+    """The subcommand name and its parsed flags, with defaults filled in."""
     if argv is None:
-        import sys as _sys
-
-        argv = _sys.argv[1:]
-    ns = parser.parse_args(_merge_flag_values(list(argv)))
-    config_path = getattr(ns, "config", None)
-    table = _load_config_file(config_path) if config_path else {}
-    r = _Resolver(ns, table)
+        argv = sys.argv[1:]
+    ns = _build_parser().parse_args(_merge_flag_values(list(argv)))
     sub = ns.subcommand
-
-    values: dict[str, Any] = {
-        "solver": SolverOptions(
-            tol=r.get("tol", 1e-10),
-            max_iter=r.get("max-iter", 2000),
-            seed=r.get("seed", 1),
-        ),
-        "threads": r.get("threads", 1),
-        "out": r.get("out"),
-        "format": r.get("format", "csv"),
-        "plot_script": r.get("plot-script"),
-        "t": r.get("t", 1.0),
-        "bc": r.get("bc", "auto"),
-    }
-    if values["threads"] != 1 and sub != "sweep":
+    command = SUBCOMMANDS[sub]
+    given = {flag: getattr(ns, flag) for flag in command.flags if getattr(ns, flag) is not None}
+    raw = {**(_load_config_file(given["config"], sub) if "config" in given else {}), **given}
+    opts = {flag: _FLAGS[flag][1] for flag in command.flags if _FLAGS[flag][1] is not None}
+    for flag, value in raw.items():
+        try:
+            opts[flag] = _FLAGS[flag][0](value)
+        except ValueError as exc:
+            raise UsageError(f"bad value for --{flag}: {exc}") from exc
+    _require(opts, command.required)
+    if opts.get("threads", 1) != 1 and sub != "sweep":
         raise UsageError(f"--threads applies only to sweep; {sub} runs serially")
-
-    def model(L: int, U: float, V: float) -> ModelParams:
-        try:
-            return ModelParams(L=L, U=U, V=V, t=values["t"], bc=values["bc"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    def single_L() -> int:
-        Ls = r.get("L", required=True)
-        if len(Ls) != 1:
-            raise UsageError("this subcommand takes a single --L")
-        return Ls[0]
-
-    if sub in ("ground", "entropy", "local"):
-        values["params"] = model(single_L(), r.get("U", required=True), r.get("V", required=True))
-        if sub == "entropy":
-            values["block_sizes"] = r.get("l", required=True)
-        if sub == "local":
-            values["site"] = r.get("site", 0)
-    elif sub == "sweep":
-        # default window brackets every feature of the phase diagram
-        try:
-            values["spec"] = SweepSpec(
-                L=single_L(),
-                block_sizes=r.get("l", required=True),
-                u_values=r.get("grid-u", parse_range("-4:4:0.1")),
-                v_values=r.get("grid-v", parse_range("-2:2:0.1")),
-                bc=values["bc"],
-                t=values["t"],
-                solver=values["solver"],
-                workers=values["threads"],
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif sub == "scaling":
-        L = single_L()
-        values["params"] = model(L, r.get("U", required=True), r.get("V", required=True))
-        values["block_sizes"] = r.get("l", tuple(range(1, L // 2 + 1)))
-    elif sub == "sizescan":
-        values["sizes"] = r.get("L", required=True)
-        values["block_sizes"] = r.get("l", required=True)
-        values["axis"] = r.get("axis", required=True)
-        if values["axis"] == "U":
-            values["scan"] = r.get("grid-u", required=True)
-            values["fixed"] = r.get("V", required=True)
-        else:
-            values["scan"] = r.get("grid-v", required=True)
-            values["fixed"] = r.get("U", required=True)
-    elif sub == "derivative":
-        values["L"] = single_L()
-        values["block_sizes"] = r.get("l", required=True)
-        values["U"] = r.get("U", required=True)
-        values["v_values"] = r.get("grid-v", required=True)
-        values["h"] = r.get("h", 0.05)
-    elif sub == "momentum":
-        from .hamiltonian import boundary_for
-        from .momentum import allowed_momenta, momentum_pair_block
-
-        values["L"] = single_L()
-        values["k"] = r.get("k", required=True)
-        values["U"] = r.get("U", required=True)
-        values["v_values"] = r.get("grid-v", required=True)
-        try:
-            bc = values["bc"] if values["bc"] != "auto" else boundary_for(values["L"])
-            momentum_pair_block(allowed_momenta(values["L"], bc), values["k"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return RunConfig(subcommand=sub, values=values)
+    if "plot-script" in opts and not opts.get("out"):
+        raise UsageError("--plot-script needs --out so the script has a data file")
+    return sub, opts
 
 
-def _emit(config: RunConfig, content: str, plot_fmt: str | None = None) -> None:
-    out = config.get("out")
+def run(sub: str, opts: dict[str, Any]) -> int:
+    content = SUBCOMMANDS[sub].run(opts)
+    if isinstance(content, int):
+        return content
+    out = opts.get("out")
     if out:
         write_text(out, content)
     else:
         sys.stdout.write(content)
-    script = config.get("plot_script")
-    if script:
-        if not out:
-            raise UsageError("--plot-script needs --out so the script has a data file")
-        write_text(script, gnuplot_script(out, plot_fmt or "csv"))
-
-
-def run(config: RunConfig) -> int:
-    sub = config.subcommand
-    solver: SolverOptions = config.get("solver", SolverOptions())
-
-    if sub == "ground":
-        params: ModelParams = config["params"]
-        result = ground_state(params, **solver.kwargs())
-        header = "L,U,V,bc,energy,gap,residual,degenerate,method,iterations"
-        line = ",".join(
-            [
-                str(params.L), f"{params.U:.12g}", f"{params.V:.12g}", params.resolved_bc(),
-                f"{result.energy:.12g}", f"{result.gap:.12g}", f"{result.residual:.3e}",
-                "1" if result.degenerate else "0", result.method, str(result.iterations),
-            ]
-        )
-        _emit(config, header + "\n" + line + "\n")
-        return 0
-
-    if sub == "entropy":
-        rows = run_point(config["params"], config["block_sizes"], solver, verbose=True)
-        _emit(config, rows_to_csv(rows))
-        return 0
-
-    if sub == "local":
-        params = config["params"]
-        result = ground_state(params, **solver.kwargs())
-        basis = enumerate_sector(Sector.half_filled(params.L))
-        weights = local_weights(result, basis, site=config["site"])
-        entropy = local_entanglement(weights)
-        header = "L,U,V,site,z,u_plus,u_minus,w,entropy_bits"
-        line = ",".join(
-            [str(params.L), f"{params.U:.12g}", f"{params.V:.12g}", str(config["site"])]
-            + [f"{x:.12g}" for x in (weights.z, weights.u_plus, weights.u_minus, weights.w, entropy)]
-        )
-        _emit(config, header + "\n" + line + "\n")
-        return 0
-
-    if sub == "sweep":
-        spec: SweepSpec = config["spec"]
-        rows = run_grid(spec)
-        if config.get("format") == "matrix":
-            if len(spec.block_sizes) != 1:
-                raise UsageError("matrix output needs exactly one block size")
-            content = rows_to_matrix(rows, spec.u_values, spec.v_values)
-            _emit(config, content, plot_fmt="matrix")
-        else:
-            _emit(config, rows_to_csv(rows))
-        return 0
-
-    if sub == "scaling":
-        params = config["params"]
-        rows = run_point(params, config["block_sizes"], solver, verbose=True)
-        fit = scaling_fit([row.l for row in rows], [row.entropy_bits for row in rows])
-        header = "slope,intercept,r_squared"
-        line = f"{fit.slope:.12g},{fit.intercept:.12g},{fit.r_squared:.12g}"
-        _emit(config, header + "\n" + line + "\n")
-        return 0
-
-    if sub == "sizescan":
-        block_sizes = config["block_sizes"]
-        if len(block_sizes) != 1:
-            raise UsageError("sizescan takes a single block size")
-        rows = size_scan(
-            block_sizes[0], config["sizes"], config["axis"], config["scan"],
-            fixed=config["fixed"], bc=config.get("bc", "auto"), t=config.get("t", 1.0),
-            solver=solver,
-        )
-        _emit(config, rows_to_csv(rows))
-        return 0
-
-    if sub == "derivative":
-        block_sizes = config["block_sizes"]
-        if len(block_sizes) != 1:
-            raise UsageError("derivative takes a single block size")
-        table = derivative_scan(
-            config["L"], block_sizes[0], config["U"], config["v_values"],
-            h=config["h"], bc=config.get("bc", "auto"), t=config.get("t", 1.0),
-            solver=solver, verbose=True,
-        )
-        lines = ["V,dS_dV"] + [f"{v:.12g},{d:.12g}" for v, d in table]
-        _emit(config, "\n".join(lines) + "\n")
-        return 0
-
-    if sub == "momentum":
-        rows = momentum_scan(
-            config["L"], config["k"], config["U"], config["v_values"],
-            bc=config.get("bc", "auto"), t=config.get("t", 1.0), solver=solver,
-        )
-        _emit(config, rows_to_csv(rows))
-        return 0
-
-    if sub == "validate":
-        from .validate import run_validation
-
-        results = run_validation()
-        return 0 if all(r.passed for r in results) else 1
-
-    raise UsageError(f"unknown subcommand {sub!r}")
+    if "plot-script" in opts:
+        write_text(opts["plot-script"], gnuplot_script(out, opts.get("format", "csv")))
+    return 0
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        return run(*parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -180,6 +180,9 @@ class LocalWeights:
 
 def local_weights(state, basis: SectorBasis, site: int = 0) -> LocalWeights:
     """Diagonal expectations of the four local states at one site."""
+    L = basis.sector.L
+    if not 0 <= site < L:
+        raise ValueError(f"site {site} outside [0, {L - 1}]")
     amps = _amplitudes_of(state)
     prob = np.abs(amps) ** 2
     up = ((basis.configs >> np.int64(mode_index(site, UP))) & np.int64(1)).astype(bool)

@@ -1,13 +1,21 @@
 """Command-line interface: parsing, config files, outputs, exit codes."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ehub.cli import main, parse_args
+from ehub.cli import _FLAGS, SUBCOMMANDS, _sweep_spec, main, parse_args
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses unknown flags itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -69,6 +77,13 @@ def test_local_subcommand_free_weights(capsys):
     assert float(cells["entropy_bits"]) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("site", ["6", "-1"])
+def test_local_site_off_the_ring_is_usage_error(capsys, site):
+    code, out, err = run_cli(capsys, "local", "--L", "6", "--U", "0", "--V", "0", "--site", site)
+    assert code == 2
+    assert "--site" in err and out == ""
+
+
 def test_sweep_csv_and_matrix(tmp_path, capsys):
     out_csv = tmp_path / "grid.csv"
     code, _, _ = run_cli(
@@ -92,8 +107,8 @@ def test_sweep_csv_and_matrix(tmp_path, capsys):
 
 
 def test_sweep_default_grid_window():
-    config = parse_args(["sweep", "--L", "4", "--l", "2"])
-    spec = config["spec"]
+    _, opts = parse_args(["sweep", "--L", "4", "--l", "2"])
+    spec = _sweep_spec(opts)
     assert len(spec.u_values) == 81 and spec.u_values[0] == -4.0
     assert len(spec.v_values) == 41 and spec.v_values[-1] == 2.0
 
@@ -128,6 +143,18 @@ def test_sizescan_subcommand(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 5
     assert [row.split(",")[0] for row in lines[1:]] == ["4", "4", "6", "6"]
+
+
+@pytest.mark.parametrize("axis, flags", [
+    ("U", ["--grid-u", "0:1:1", "--V", "0", "--grid-v", "5:6:1"]),
+    ("U", ["--grid-u", "0:1:1", "--V", "0", "--U", "9"]),
+    ("V", ["--grid-v", "0:1:1", "--U", "0", "--grid-u", "5:6:1"]),
+    ("V", ["--grid-v", "0:1:1", "--U", "0", "--V", "9"]),
+])
+def test_sizescan_refuses_the_other_axis(capsys, axis, flags):
+    code, out, err = run_cli(capsys, "sizescan", "--l", "2", "--L", "4", "--axis", axis, *flags)
+    assert code == 2
+    assert flags[-2] in err and out == ""
 
 
 def test_derivative_subcommand(capsys):
@@ -227,3 +254,34 @@ def test_solver_failure_exit_code(capsys):
     )
     assert code == 1
     assert "converge" in err
+
+
+UNREAD = [(sub, flag) for sub, command in SUBCOMMANDS.items()
+          for flag in _FLAGS if flag not in command.flags]
+
+
+@pytest.mark.parametrize("sub, flag", UNREAD)
+def test_flag_outside_the_record_is_refused(tmp_path, capsys, sub, flag):
+    code, out, err = run_cli(capsys, sub, f"--{flag}", "1")
+    assert code == 2
+    assert f"--{flag}" in err and out == ""
+    if "config" not in SUBCOMMANDS[sub].flags:
+        return
+    config = tmp_path / "run.conf"
+    config.write_text(f"{flag} = 1\n")
+    code, out, err = run_cli(capsys, sub, "--config", str(config))
+    assert code == 2
+    assert repr(flag) in err and out == ""
+
+
+def _readme_command_lines():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ehub ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_examples_parse(argv):
+    sub, _ = parse_args(argv)
+    assert sub == argv[0]

@@ -111,6 +111,14 @@ def test_local_weights_free_fermions_are_uniform():
     assert local_entanglement(w) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("site", [6, -1])
+def test_local_weights_refuses_site_off_the_ring(site):
+    result = ground_state(ModelParams(L=6, U=0.0, V=0.0))
+    basis = enumerate_sector(Sector.half_filled(6))
+    with pytest.raises(ValueError, match="site"):
+        local_weights(result, basis, site=site)
+
+
 def test_local_weights_of_ideal_psd_state():
     state = reference_state("PS(d)", 10)
     w = local_weights(state, state.basis, site=0)
