@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import isfinite
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +52,13 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in raw.split(","))
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
 def _choice(*allowed: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw not in allowed:
@@ -63,16 +71,16 @@ def _choice(*allowed: str) -> Callable[[str], str]:
 _FLAGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
     # name -> (parser, default or None, help)
     "L": (_int_list, None, "site count (sizescan accepts a comma list)"),
-    "U": (float, None, "on-site coupling"),
-    "V": (float, None, "nearest-neighbor coupling"),
+    "U": (_finite, None, "on-site coupling"),
+    "V": (_finite, None, "nearest-neighbor coupling"),
     "l": (_int_list, None, "block size(s), comma separated"),
-    "t": (float, 1.0, "hopping amplitude"),
+    "t": (_finite, 1.0, "hopping amplitude"),
     "bc": (_choice(*BC_CHOICES), "auto", "boundary condition: auto|periodic|antiperiodic"),
     "grid-u": (parse_range, None, "U grid as min:max:step"),
     "grid-v": (parse_range, None, "V grid as min:max:step"),
-    "k": (float, None, "momentum in radians, snapped to the grid"),
-    "h": (float, 0.05, "central-difference half step"),
-    "tol": (float, 1e-10, "eigensolver energy tolerance"),
+    "k": (_finite, None, "momentum in radians, snapped to the grid"),
+    "h": (_finite, 0.05, "central-difference half step"),
+    "tol": (_finite, 1e-10, "eigensolver energy tolerance"),
     "max-iter": (int, 2000, "Lanczos iteration cap"),
     "seed": (int, 1, "start-vector seed"),
     "threads": (int, 1, "worker count; only sweep takes more than 1"),
@@ -179,6 +187,12 @@ def _sweep(o: dict[str, Any]) -> str:
 def _scaling(o: dict[str, Any]) -> str:
     params = _model(o)
     block_sizes = o.get("l", tuple(range(1, params.L // 2 + 1)))
+    distinct = sorted(set(block_sizes))
+    if len(distinct) < 3:
+        raise UsageError(
+            f"scaling fits at least 3 distinct block sizes, got {len(distinct)} "
+            f"({','.join(map(str, distinct))}); at --L 4 the default --l 1,2 cannot be fitted"
+        )
     rows = run_point(params, block_sizes, _solver(o), verbose=True)
     fit = scaling_fit([row.l for row in rows], [row.entropy_bits for row in rows])
     return _csv_line(

@@ -2,20 +2,23 @@
 
 Small problems (dimension <= 4096) go through a dense Hermitian
 eigendecomposition.  Larger ones use Lanczos with full
-reorthogonalization against all stored basis vectors; desk-scale
-dimensions afford the memory, and keeping the basis orthogonal removes
-ghost copies and lets the iteration genuinely resolve the near
-degenerate multiplets that appear deep in the ordered phases (the
-residual-based stopping rule refuses to stop on an unresolved
-cluster).  The start vector comes from a seeded linear congruential
+reorthogonalization: the stored basis is one 2-D array, projected out
+64 rows at a time, twice when the first pass cancels heavily (Daniel,
+Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).  The loop is
+real-only and calls LAPACK's tridiagonal bisection and inverse
+iteration (dstebz, dstein) directly.  It stops on the lowest Ritz value
+alone; the second one, which gives the gap, is tracked but not
+converged.  The start vector comes from a seeded linear congruential
 stream so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, sqrt
+
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .fock import Sector, enumerate_sector
 from .hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
@@ -23,6 +26,7 @@ from .hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
 DENSE_LIMIT = 4096
 DEGENERACY_GAP = 1e-8
 _LANCZOS_MEMORY_BUDGET = 3_000_000_000  # bytes of stored basis vectors
+_BLOCK_ROWS = 64  # stored vectors per projection and combination product
 
 
 class ConvergenceError(RuntimeError):
@@ -96,38 +100,11 @@ def _lcg_start_vector(n: int, seed: int, dtype: np.dtype) -> np.ndarray:
     return np.asarray(v / nrm, dtype=dtype)
 
 
-class _VectorStore:
-    """Stored Lanczos basis, allocated in chunks; rows are basis vectors."""
-
-    def __init__(self, dim: int, dtype: np.dtype, chunk: int = 64):
-        self.dim = dim
-        self.dtype = dtype
-        self.chunk = chunk
-        self.blocks: list[np.ndarray] = []
-        self.count = 0
-
-    def append(self, v: np.ndarray) -> None:
-        pos = self.count % self.chunk
-        if pos == 0:
-            self.blocks.append(np.empty((self.chunk, self.dim), dtype=self.dtype))
-        self.blocks[-1][pos] = v
-        self.count += 1
-
-    def orthogonalize(self, w: np.ndarray) -> None:
-        """Project out every stored vector: w <- w - sum_i q_i <q_i, w>."""
-        for bi, block in enumerate(self.blocks):
-            rows = self.chunk if (bi + 1) * self.chunk <= self.count else self.count - bi * self.chunk
-            q = block[:rows]
-            coeff = np.conj(q @ np.conj(w))
-            w -= coeff @ q
-
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=self.dtype)
-        for bi, block in enumerate(self.blocks):
-            rows = min(self.chunk, self.count - bi * self.chunk)
-            sl = coeffs[bi * self.chunk : bi * self.chunk + rows]
-            out += sl @ block[:rows]
-        return out
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> None:
+    """Project out every stored vector in 64-row blocks: w <- w - sum_i q_i (q_i . w)."""
+    for i in range(0, basis.shape[0], _BLOCK_ROWS):
+        q = basis[i : i + _BLOCK_ROWS]
+        w -= (q @ w) @ q
 
 
 def lanczos_ground(
@@ -143,19 +120,24 @@ def lanczos_ground(
     successive iterations drops below ``tol`` and the residual estimate
     is below ``10 * tol``.  Raises ConvergenceError (carrying the best
     estimate and residual) if ``max_iter`` steps do not get there.
+    Real matrices only: a complex one raises TypeError.
     """
     dim = H.dimension
     if dim < 2:
         raise ValueError("Lanczos needs dimension >= 2")
-    dtype = np.complex128 if np.iscomplexobj(H.matrix.data) else np.float64
-    budget = max(int(_LANCZOS_MEMORY_BUDGET // (dim * np.dtype(dtype).itemsize)), 16)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be positive, got {max_iter}")
+    if H.dtype.kind == "c":
+        raise TypeError(f"lanczos_ground takes a real matrix, got dtype {H.dtype}")
+    budget = max(int(_LANCZOS_MEMORY_BUDGET // (dim * 8)), 16)
     n_iter = min(max_iter, dim, budget)
     n_track = min(max(n_low, 2), dim)
 
-    store = _VectorStore(dim, dtype)
-    alphas: list[float] = []
-    betas: list[float] = []
-    v = _lcg_start_vector(dim, seed, dtype)
+    # rows are touched only as they are written, so unused ones cost no memory
+    basis = np.empty((n_iter, dim))
+    alpha = np.empty(n_iter)
+    beta = np.empty(n_iter)
+    v = _lcg_start_vector(dim, seed, np.float64)
     scale = 1.0
     prev_low = None
     converged = False
@@ -163,37 +145,42 @@ def lanczos_ground(
 
     w = H.matvec(v)
     for k in range(n_iter):
-        a = float(np.real(np.vdot(v, w)))
+        a = float(v.dot(w))
         w -= a * v
-        store.append(v)
-        alphas.append(a)
-        pre_norm = float(np.linalg.norm(w))
-        store.orthogonalize(w)
-        b = float(np.linalg.norm(w))
+        basis[k] = v
+        alpha[k] = a
+        pre_norm = sqrt(w.dot(w))
+        _orthogonalize(basis[: k + 1], w)
+        b = sqrt(w.dot(w))
         if b < 0.7 * pre_norm:  # heavy cancellation: orthogonalize once more
-            store.orthogonalize(w)
-            b = float(np.linalg.norm(w))
+            _orthogonalize(basis[: k + 1], w)
+            b = sqrt(w.dot(w))
+        if not (isfinite(a) and isfinite(b)):
+            raise ValueError(f"non-finite Lanczos coefficient at iteration {k + 1}")
         scale = max(scale, abs(a), b)
 
-        ritz = _lowest_ritz_values(alphas, betas, n_track)
-        low = ritz[0]
+        low = _ritz_values(alpha[: k + 1], beta[:k], n_track)[0]
         if prev_low is not None and abs(low - prev_low) < tol:
-            resid_est = _ritz_residual_estimate(alphas, betas, b)
-            if resid_est < 10.0 * tol:
+            _, y = _ritz_pairs(alpha[: k + 1], beta[:k], 1)
+            if b * abs(float(y[-1, 0])) < 10.0 * tol:
                 converged = True
         prev_low = low
         if b <= 1e-13 * max(1.0, scale):
             exhausted = True  # Krylov space is an exact invariant subspace
         if converged or exhausted:
             break
-        betas.append(b)
+        beta[k] = b
         v_next = w / b
         w = H.matvec(v_next)
         v = v_next
 
-    iterations = len(alphas)
-    theta, y = _ritz_pairs(alphas, betas, n_track)
-    x = store.combine(y[:, 0].astype(dtype))
+    iterations = k + 1
+    theta, y = _ritz_pairs(alpha[:iterations], beta[: iterations - 1], n_track)
+    coeffs = y[:, 0].copy()
+    stored = basis[:iterations]
+    x = np.zeros(dim)
+    for i in range(0, iterations, _BLOCK_ROWS):
+        x += coeffs[i : i + _BLOCK_ROWS] @ stored[i : i + _BLOCK_ROWS]
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x = x / nrm
@@ -209,32 +196,32 @@ def lanczos_ground(
     return _result(theta, n_low, x, residual, "lanczos", iterations)
 
 
-def _lowest_ritz_values(alphas, betas, n_track) -> np.ndarray:
-    k = len(alphas)
-    if k == 1:
-        return np.asarray([alphas[0]])
-    hi = min(n_track, k) - 1
-    w = eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: k - 1]),
-        eigvals_only=True, select="i", select_range=(0, hi),
+def _stebz(alpha, beta, n_track, order):
+    """Lowest min(n_track, k) eigenvalues of the k x k tridiagonal, by bisection."""
+    m, w, iblock, isplit, info = dstebz(
+        alpha, beta, 2, 0.0, 1.0, 1, min(n_track, alpha.size), 0.0, order
     )
-    return w
+    if info != 0:
+        raise ValueError(f"LAPACK dstebz failed (info={info})")
+    return w[:m], iblock, isplit
 
 
-def _ritz_pairs(alphas, betas, n_track):
-    k = len(alphas)
-    if k == 1:
-        return np.asarray([alphas[0]]), np.ones((1, 1))
-    hi = min(n_track, k) - 1
-    w, y = eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: k - 1]), select="i", select_range=(0, hi)
-    )
-    return w, y
+def _ritz_values(alpha, beta, n_track) -> np.ndarray:
+    if alpha.size == 1:
+        return alpha.copy()
+    return _stebz(alpha, beta, n_track, "E")[0]
 
 
-def _ritz_residual_estimate(alphas, betas, b_next: float) -> float:
-    _, y = _ritz_pairs(alphas, betas, 1)
-    return b_next * abs(float(y[-1, 0]))
+def _ritz_pairs(alpha, beta, n_track):
+    """Lowest Ritz values, ascending, and their tridiagonal eigenvectors (columns)."""
+    if alpha.size == 1:
+        return alpha.copy(), np.ones((1, 1))
+    w, iblock, isplit = _stebz(alpha, beta, n_track, "B")
+    y, info = dstein(alpha, beta, w, iblock, isplit)
+    if info != 0:
+        raise ValueError(f"LAPACK dstein failed (info={info})")
+    order = np.argsort(w)
+    return w[order], y[:, order]
 
 
 def ground_state(

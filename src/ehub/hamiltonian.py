@@ -11,14 +11,18 @@ gauge on the hopping; the density-density V term always wraps the ring
 without any sign.
 
 Matrices are assembled from coupling-independent factors (hopping at
-t=1 plus two diagonal vectors), so sweeping (U, V) at fixed L reuses
-the expensive part of the construction.
+t=1 plus two diagonal vectors), cached per sector on one canonical CSR
+pattern whose index arrays are read-only.  A (U, V) point computes only
+a data array on that pattern and shares the index arrays, so sweeping
+(U, V) at fixed L reuses every other part of the construction; the
+momentum build uses the same mechanism (``aligned_terms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sparse
@@ -55,6 +59,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.L % 2 != 0 or not 4 <= self.L <= 14:
             raise ValueError(f"L must be even and in [4, 14], got {self.L}")
+        for name in ("U", "V", "t"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t > 0:
             raise ValueError(f"hopping amplitude must be positive, got t={self.t}")
         if self.bc not in BC_CHOICES:
@@ -93,16 +100,6 @@ class SparseHamiltonian:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def _site_occupations(configs: np.ndarray, L: int) -> np.ndarray:
-    """(ncfg, L) array of total site occupations n_j in {0, 1, 2}."""
-    occ = np.empty((configs.size, L), dtype=np.int64)
-    for j in range(L):
-        up = (configs >> np.int64(mode_index(j, UP))) & np.int64(1)
-        dn = (configs >> np.int64(mode_index(j, DOWN))) & np.int64(1)
-        occ[:, j] = up + dn
-    return occ
-
-
 def double_occupancy_counts(configs: np.ndarray, L: int) -> np.ndarray:
     """Number of doubly occupied sites per configuration."""
     up_bits = configs & np.int64(0x5555555555555555)
@@ -112,8 +109,14 @@ def double_occupancy_counts(configs: np.ndarray, L: int) -> np.ndarray:
 
 def neighbor_density_products(configs: np.ndarray, L: int) -> np.ndarray:
     """sum_j n_j n_{j+1} around the ring, per configuration."""
-    occ = _site_occupations(configs, L)
-    return np.einsum("ij,ij->i", occ, np.roll(occ, -1, axis=1))
+    occ = [
+        popcount_array(configs & np.int64((1 << mode_index(j, UP)) | (1 << mode_index(j, DOWN))))
+        for j in range(L)
+    ]
+    total = occ[L - 1] * occ[0]  # at most 4 per bond, so the uint8 sum cannot overflow
+    for j in range(L - 1):
+        total += occ[j] * occ[j + 1]
+    return total.astype(np.int64)
 
 
 def diagonal_energy(config: int, params: ModelParams) -> float:
@@ -125,10 +128,79 @@ def diagonal_energy(config: int, params: ModelParams) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class RealTerms:
-    """Coupling-independent factors: H = t*hopping + U*diag_u + V*diag_v."""
+class TermPattern:
+    """One canonical CSR pattern that every term of a sector is aligned to.
 
-    hopping: sparse.csr_matrix  # built at t = 1
+    ``indptr`` and ``indices`` are read-only and shared by every matrix
+    ``assemble`` builds; ``diagonal[i]`` is the position of entry (i, i).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+
+    def assemble(self, data: np.ndarray) -> SparseHamiltonian:
+        """The CSR matrix with this pattern and ``data``, exact zeros dropped.
+
+        A sparse sum drops the entries that come out exactly 0, so they
+        are dropped here too.  That compacts the arrays in place, so only
+        then are they copied; otherwise the matrix shares ``data`` and
+        the pattern.
+        """
+        dim = self.indptr.size - 1
+        if data.all():
+            mat = sparse.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+        else:
+            mat = sparse.csr_matrix(
+                (data.copy(), self.indices.copy(), self.indptr.copy()), shape=(dim, dim)
+            )
+            mat.eliminate_zeros()
+        return SparseHamiltonian(matrix=mat)
+
+
+def aligned_terms(*terms: sparse.csr_matrix) -> tuple[TermPattern, list[np.ndarray]]:
+    """The union pattern of canonical CSR terms and the diagonal, and each
+    term's data aligned to it (0 where the term has no entry).
+
+    Each term and the diagonal is summed as a matrix of one bit flag over
+    its own pattern; in the canonical sum every union entry carries the
+    flags of the terms that hold it, in (row, column) order, so the
+    entries flagged by a term are that term's entries in order.
+    """
+    dim = terms[0].shape[0]
+
+    def flags(bit: int, indices: np.ndarray, indptr: np.ndarray) -> sparse.csr_matrix:
+        data = np.full(indices.size, 1 << bit, dtype=np.uint8)
+        return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+    union = flags(0, np.arange(dim), np.arange(dim + 1))
+    for bit, term in enumerate(terms, 1):
+        union = union + flags(bit, term.indices, term.indptr)
+    union.sort_indices()
+    aligned = []
+    for bit, term in enumerate(terms, 1):
+        data = np.zeros(union.nnz)
+        data[(union.data & (1 << bit)) != 0] = term.data
+        data.flags.writeable = False
+        aligned.append(data)
+    pattern = TermPattern(
+        indptr=union.indptr, indices=union.indices, diagonal=np.flatnonzero(union.data & 1)
+    )
+    for array in (pattern.indptr, pattern.indices, pattern.diagonal):
+        array.flags.writeable = False
+    return pattern, aligned
+
+
+@dataclass(frozen=True, eq=False)
+class RealTerms:
+    """Coupling-independent factors: H = t*hopping + diag(U*diag_u + V*diag_v).
+
+    ``hopping`` (at t = 1) is aligned to ``pattern``; it has no diagonal
+    entries, so it holds 0 at ``pattern.diagonal``.
+    """
+
+    pattern: TermPattern
+    hopping: np.ndarray
     diag_u: np.ndarray
     diag_v: np.ndarray
 
@@ -174,12 +246,12 @@ def _cached_real_terms(sector, bc: str) -> RealTerms:
     from .fock import enumerate_sector
 
     basis = enumerate_sector(sector)
-    hopping = _hopping_matrix(basis, bc)
+    pattern, (hopping,) = aligned_terms(_hopping_matrix(basis, bc))
     diag_u = double_occupancy_counts(basis.configs, sector.L).astype(np.float64)
     diag_v = neighbor_density_products(basis.configs, sector.L).astype(np.float64)
     diag_u.flags.writeable = False
     diag_v.flags.writeable = False
-    return RealTerms(hopping=hopping, diag_u=diag_u, diag_v=diag_v)
+    return RealTerms(pattern=pattern, hopping=hopping, diag_u=diag_u, diag_v=diag_v)
 
 
 def real_terms(basis: SectorBasis, bc: str) -> RealTerms:
@@ -195,8 +267,6 @@ def build_real_hamiltonian(params: ModelParams, basis: SectorBasis) -> SparseHam
             f"parameter L={params.L} does not match basis L={basis.sector.L}"
         )
     terms = real_terms(basis, params.resolved_bc())
-    diag = params.U * terms.diag_u + params.V * terms.diag_v
-    mat = (params.t * terms.hopping + sparse.diags(diag)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return SparseHamiltonian(matrix=mat)
+    data = params.t * terms.hopping
+    data[terms.pattern.diagonal] = params.U * terms.diag_u + params.V * terms.diag_v
+    return terms.pattern.assemble(data)

@@ -41,7 +41,14 @@ from .fock import (
     enumerate_sector,
     mode_index,
 )
-from .hamiltonian import ModelParams, SparseHamiltonian, boundary_for, one_body_matrix
+from .hamiltonian import (
+    ModelParams,
+    SparseHamiltonian,
+    TermPattern,
+    aligned_terms,
+    boundary_for,
+    one_body_matrix,
+)
 
 
 def _fold(m: int, L: int) -> int:
@@ -138,11 +145,15 @@ def _fold_angle(k: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MomentumTerms:
-    """Coupling-independent factors: H = t*diag(kinetic) + U*onsite + V*neighbor."""
+    """Coupling-independent factors: H = t*diag(kinetic) + U*onsite + V*neighbor.
 
-    kinetic: np.ndarray  # dispersion sums at t = 1
-    onsite: sparse.csr_matrix  # coefficient of U, real
-    neighbor: sparse.csr_matrix  # coefficient of V, real
+    ``onsite`` and ``neighbor`` are real and aligned to ``pattern``.
+    """
+
+    pattern: TermPattern
+    kinetic: np.ndarray  # dispersion sums at t = 1, one per basis state
+    onsite: np.ndarray  # coefficient of U
+    neighbor: np.ndarray  # coefficient of V
 
 
 def _kinetic_diagonal(basis: SectorBasis, grid: MomentumGrid) -> np.ndarray:
@@ -181,25 +192,29 @@ def _sum_of_products(terms) -> sparse.csr_matrix:
     return out
 
 
+def _interaction_terms(basis: SectorBasis, grid: MomentumGrid):
+    """The onsite and neighbor terms as CSR; the rho_q products are freed on return."""
+    L = grid.L
+    transfers = [grid.fold(2 * n) for n in range(L)]  # q = 2 pi n / L on either grid
+    rho = {(qm, s): _density(basis, grid, qm, s) for qm in transfers for s in (UP, DOWN)}
+    total = {qm: rho[qm, UP] + rho[qm, DOWN] for qm in transfers}
+    onsite = _sum_of_products(
+        (1.0 / L, rho[qm, UP], rho[grid.fold(-qm), DOWN]) for qm in transfers
+    )
+    neighbor = _sum_of_products(
+        (cos(pi * qm / L) / L, total[qm], total[grid.fold(-qm)]) for qm in transfers
+    )
+    return onsite, neighbor
+
+
 @lru_cache(maxsize=4)
 def _cached_momentum_terms(sector: Sector, bc: str) -> MomentumTerms:
     grid = allowed_momenta(sector.L, bc)
     basis = enumerate_sector(sector)
-    L = grid.L
     kin = _kinetic_diagonal(basis, grid)
     kin.flags.writeable = False
-    transfers = [grid.fold(2 * n) for n in range(L)]  # q = 2 pi n / L on either grid
-    rho = {(qm, s): _density(basis, grid, qm, s) for qm in transfers for s in (UP, DOWN)}
-    total = {qm: rho[qm, UP] + rho[qm, DOWN] for qm in transfers}
-    return MomentumTerms(
-        kinetic=kin,
-        onsite=_sum_of_products(
-            (1.0 / L, rho[qm, UP], rho[grid.fold(-qm), DOWN]) for qm in transfers
-        ),
-        neighbor=_sum_of_products(
-            (cos(pi * qm / L) / L, total[qm], total[grid.fold(-qm)]) for qm in transfers
-        ),
-    )
+    pattern, (onsite, neighbor) = aligned_terms(*_interaction_terms(basis, grid))
+    return MomentumTerms(pattern=pattern, kinetic=kin, onsite=onsite, neighbor=neighbor)
 
 
 def momentum_terms(basis: SectorBasis, bc: str) -> MomentumTerms:
@@ -220,11 +235,8 @@ def build_momentum_hamiltonian(
     if grid is not None and (grid.bc != bc or grid.L != params.L):
         raise ValueError(f"grid {grid.bc}/L={grid.L} inconsistent with params {bc}/L={params.L}")
     terms = momentum_terms(basis, bc)
-    mat = (
-        sparse.diags(params.t * terms.kinetic)
-        + params.U * terms.onsite
-        + params.V * terms.neighbor
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return SparseHamiltonian(matrix=mat)
+    data = params.U * terms.onsite
+    diagonal = terms.pattern.diagonal
+    data[diagonal] = params.t * terms.kinetic + data[diagonal]
+    data += params.V * terms.neighbor
+    return terms.pattern.assemble(data)

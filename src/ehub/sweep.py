@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import nan
+from math import isfinite, nan
 
 import numpy as np
 
@@ -81,6 +81,8 @@ def parse_range(spec: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"range must look like min:max:step, got {spec!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"range bounds and step must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:

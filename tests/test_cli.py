@@ -285,3 +285,32 @@ def _readme_command_lines():
 def test_readme_examples_parse(argv):
     sub, _ = parse_args(argv)
     assert sub == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("ground", "--L", "8", "--U", "nan", "--V", "0"),
+    ("ground", "--L", "6", "--U", "0", "--V", "inf"),
+    ("entropy", "--L", "6", "--U", "-inf", "--V", "0", "--l", "1"),
+    ("sweep", "--L", "6", "--l", "2", "--grid-u", "0:1:1", "--grid-v", "0:0:1", "--t", "inf"),
+    ("sweep", "--L", "6", "--l", "2", "--grid-u", "0:inf:1", "--grid-v", "0:0:1"),
+    ("momentum", "--L", "6", "--k", "1.0471975512", "--U", "nan", "--grid-v", "0:0.2:0.1"),
+])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "finite" in err
+    assert "[point]" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--L", "4", "--U", "0", "--V", "0"),  # the default --l is 1,2
+    ("--L", "8", "--U", "0", "--V", "0", "--l", "1,2"),
+    ("--L", "8", "--U", "0", "--V", "0", "--l", "2,1,2"),
+])
+def test_scaling_needs_three_distinct_block_sizes(capsys, argv):
+    code, out, err = run_cli(capsys, "scaling", *argv)
+    assert code == 2
+    assert out == ""
+    assert "3 distinct block sizes" in err and "--l 1,2" in err
+    assert "[point]" not in err

@@ -129,6 +129,12 @@ def test_lcg_start_vector_deterministic():
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lanczos_refuses_a_complex_matrix():
+    H = _wrap(np.asarray([[1.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 3.0]]))
+    with pytest.raises(TypeError, match="complex128"):
+        lanczos_ground(H)
+
+
 def test_lanczos_dimension_guard():
     with pytest.raises(ValueError):
         lanczos_ground(_wrap(np.asarray([[1.0]])))

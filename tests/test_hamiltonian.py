@@ -6,9 +6,20 @@ import pytest
 from ehub.fock import Sector, enumerate_sector, mode_index
 from ehub.hamiltonian import (
     ModelParams,
+    _cached_real_terms,
+    _hopping_matrix,
     boundary_for,
     build_real_hamiltonian,
     diagonal_energy,
+    double_occupancy_counts,
+    neighbor_density_products,
+    real_terms,
+)
+
+# (U, V, t): zero couplings, U = 2V and U = -2V, where terms cancel exactly on some entries
+COUPLINGS = (
+    (0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 1.5, 0.7), (2.0, 1.0, 1.0), (2.0, -1.0, 1.3),
+    (-3.0, 0.8, 1.0),
 )
 
 
@@ -41,6 +52,9 @@ def test_params_validation():
         ModelParams(L=8, U=0.0, V=0.0, t=0.0)
     with pytest.raises(ValueError):
         ModelParams(L=8, U=0.0, V=0.0, bc="open")
+    for bad in ({"U": np.nan}, {"V": np.inf}, {"U": -np.inf}, {"t": np.inf}, {"t": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**{"L": 8, "U": 0.0, "V": 0.0, **bad})
     assert ModelParams(L=8, U=0.0, V=0.0).resolved_bc() == "antiperiodic"
     assert ModelParams(L=8, U=0.0, V=0.0, bc="periodic").resolved_bc() == "periodic"
 
@@ -132,3 +146,44 @@ def test_dimension_mismatch_rejected():
     basis = enumerate_sector(Sector.half_filled(4))
     with pytest.raises(ValueError):
         build_real_hamiltonian(ModelParams(L=6, U=0.0, V=0.0), basis)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("L", [4, 6])
+def test_build_equals_dense_sum(L, bc):
+    basis = enumerate_sector(Sector.half_filled(L))
+    hop = _hopping_matrix(basis, bc).toarray()
+    du = double_occupancy_counts(basis.configs, L)
+    dv = neighbor_density_products(basis.configs, L)
+    for U, V, t in COUPLINGS:
+        H = build_real_hamiltonian(ModelParams(L=L, U=U, V=V, t=t, bc=bc), basis).matrix
+        want = t * hop + np.diag(U * du + V * dv)
+        np.testing.assert_array_equal(H.toarray(), want)
+        assert H.nnz == np.count_nonzero(want)  # entries that come out 0 are not stored
+
+
+def test_zero_dropping_build_leaves_the_pattern_intact():
+    # dropping zeros compacts CSR arrays in place; done on the shared
+    # pattern it would corrupt every later build of the sector
+    basis = enumerate_sector(Sector.half_filled(6))
+    generic = ModelParams(L=6, U=1.3, V=0.7)
+    _cached_real_terms.cache_clear()
+    fresh = build_real_hamiltonian(generic, basis).matrix
+    _cached_real_terms.cache_clear()
+    dropped = build_real_hamiltonian(ModelParams(L=6, U=1.3, V=0.0), basis).matrix
+    assert dropped.nnz < fresh.nnz
+    after = build_real_hamiltonian(generic, basis).matrix
+    for name in ("data", "indices", "indptr"):
+        assert getattr(after, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_cached_terms_are_read_only_and_shared():
+    basis = enumerate_sector(Sector.half_filled(6))
+    terms = real_terms(basis, "periodic")
+    pattern = terms.pattern
+    for array in (pattern.indptr, pattern.indices, pattern.diagonal,
+                  terms.hopping, terms.diag_u, terms.diag_v):
+        assert not array.flags.writeable
+    H = build_real_hamiltonian(ModelParams(L=6, U=1.3, V=0.7, bc="periodic"), basis).matrix
+    assert np.shares_memory(H.indices, pattern.indices)
+    assert np.shares_memory(H.indptr, pattern.indptr)

@@ -11,6 +11,9 @@ from ehub.hamiltonian import (
     neighbor_density_products,
 )
 from ehub.momentum import (
+    _cached_momentum_terms,
+    _interaction_terms,
+    _kinetic_diagonal,
     allowed_momenta,
     build_momentum_hamiltonian,
     momentum_pair_block,
@@ -78,12 +81,9 @@ def test_interaction_terms_match_closed_form_spectra(L, bc):
             terms = momentum_terms(basis, bc)
             want_u = np.sort(double_occupancy_counts(basis.configs, L))
             want_v = np.sort(neighbor_density_products(basis.configs, L))
-            np.testing.assert_allclose(
-                np.linalg.eigvalsh(terms.onsite.toarray()), want_u, rtol=0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                np.linalg.eigvalsh(terms.neighbor.toarray()), want_v, rtol=0, atol=1e-9
-            )
+            for term, want in ((terms.onsite, want_u), (terms.neighbor, want_v)):
+                got = np.linalg.eigvalsh(terms.pattern.assemble(term).toarray())
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_hermiticity_defect():
@@ -136,3 +136,43 @@ def test_grid_consistency_check():
     grid10 = allowed_momenta(10, "periodic")
     with pytest.raises(ValueError):
         build_momentum_hamiltonian(ModelParams(L=4, U=0.0, V=0.0), basis, grid=grid10)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("L", [4, 6])
+def test_build_equals_dense_sum(L, bc):
+    basis = enumerate_sector(Sector.half_filled(L))
+    grid = allowed_momenta(L, bc)
+    kin = _kinetic_diagonal(basis, grid)
+    onsite, neighbor = (term.toarray() for term in _interaction_terms(basis, grid))
+    for U, V, t in ((0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 1.5, 0.7), (2.0, 1.0, 1.0),
+                    (2.0, -1.0, 1.3), (-3.0, 0.8, 1.0)):
+        H = build_momentum_hamiltonian(ModelParams(L=L, U=U, V=V, t=t, bc=bc), basis).matrix
+        want = t * np.diag(kin) + U * onsite + V * neighbor
+        np.testing.assert_array_equal(H.toarray(), want)
+        assert H.nnz == np.count_nonzero(want)  # entries that come out 0 are not stored
+
+
+def test_zero_dropping_build_leaves_the_pattern_intact():
+    basis = enumerate_sector(Sector.half_filled(6))
+    generic = ModelParams(L=6, U=1.3, V=0.7)
+    _cached_momentum_terms.cache_clear()
+    fresh = build_momentum_hamiltonian(generic, basis).matrix
+    _cached_momentum_terms.cache_clear()
+    dropped = build_momentum_hamiltonian(ModelParams(L=6, U=1.3, V=0.0), basis).matrix
+    assert dropped.nnz < fresh.nnz
+    after = build_momentum_hamiltonian(generic, basis).matrix
+    for name in ("data", "indices", "indptr"):
+        assert getattr(after, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_cached_terms_are_read_only_and_shared():
+    basis = enumerate_sector(Sector.half_filled(6))
+    terms = momentum_terms(basis, "periodic")
+    pattern = terms.pattern
+    for array in (pattern.indptr, pattern.indices, pattern.diagonal,
+                  terms.kinetic, terms.onsite, terms.neighbor):
+        assert not array.flags.writeable
+    H = build_momentum_hamiltonian(ModelParams(L=6, U=1.3, V=0.7, bc="periodic"), basis).matrix
+    assert np.shares_memory(H.indices, pattern.indices)
+    assert np.shares_memory(H.indptr, pattern.indptr)
