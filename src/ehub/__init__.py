@@ -4,6 +4,7 @@ block-block entanglement in real and momentum space."""
 from .eigen import (
     ConvergenceError,
     GroundStateResult,
+    SolverOptions,
     dense_ground,
     ground_state,
     lanczos_ground,
@@ -45,7 +46,6 @@ from .reference import (
 )
 from .sweep import (
     ScalingFit,
-    SolverOptions,
     SweepRow,
     SweepSpec,
     derivative_scan,

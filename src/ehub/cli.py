@@ -100,7 +100,10 @@ def _require(opts: dict[str, Any], flags) -> None:
 
 
 def _solver(o: dict[str, Any]) -> SolverOptions:
-    return SolverOptions(tol=o["tol"], max_iter=o["max-iter"], seed=o["seed"])
+    try:
+        return SolverOptions(tol=o["tol"], max_iter=o["max-iter"], seed=o["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _single_L(o: dict[str, Any]) -> int:

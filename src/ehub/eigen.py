@@ -29,6 +29,27 @@ _LANCZOS_MEMORY_BUDGET = 3_000_000_000  # bytes of stored basis vectors
 _BLOCK_ROWS = 64  # stored vectors per projection and combination product
 
 
+@dataclass(frozen=True)
+class SolverOptions:
+    """Lanczos settings, checked once here: tol > 0 and finite, max_iter >= 1,
+    and a seed that is a 64-bit unsigned word."""
+
+    tol: float = 1e-10
+    max_iter: int = 2000
+    seed: int = 1
+
+    def __post_init__(self) -> None:
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+
+    def kwargs(self) -> dict:
+        return {"tol": self.tol, "max_iter": self.max_iter, "seed": self.seed}
+
+
 class ConvergenceError(RuntimeError):
     """Lanczos failed to converge; carries the best estimate found."""
 
@@ -122,11 +143,10 @@ def lanczos_ground(
     estimate and residual) if ``max_iter`` steps do not get there.
     Real matrices only: a complex one raises TypeError.
     """
+    SolverOptions(tol=tol, max_iter=max_iter, seed=seed)  # raises ValueError out of range
     dim = H.dimension
     if dim < 2:
         raise ValueError("Lanczos needs dimension >= 2")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
     if H.dtype.kind == "c":
         raise TypeError(f"lanczos_ground takes a real matrix, got dtype {H.dtype}")
     budget = max(int(_LANCZOS_MEMORY_BUDGET // (dim * 8)), 16)

@@ -36,10 +36,6 @@ def mode_index(site: int, spin: int) -> int:
     return 2 * site + spin
 
 
-def popcount(bits: int) -> int:
-    return int(bits).bit_count()
-
-
 def popcount_array(bits: np.ndarray) -> np.ndarray:
     """Per-element popcount of a nonnegative integer array."""
     return np.bitwise_count(bits)
@@ -133,27 +129,6 @@ def enumerate_sector(sector: Sector) -> SectorBasis:
     return SectorBasis(sector=sector, configs=configs)
 
 
-def apply_mode_op(config: int, mode: int, kind: str) -> tuple[int, int] | None:
-    """Apply a single creation or annihilation operator to a configuration.
-
-    Returns (new_config, sign) with sign = (-1)**(occupied modes below
-    ``mode``), or None when the operator annihilates the state (create on
-    an occupied mode, annihilate on an empty one).
-    """
-    bit = 1 << mode
-    occupied = bool(config & bit)
-    if kind == "create":
-        if occupied:
-            return None
-    elif kind == "annihilate":
-        if not occupied:
-            return None
-    else:
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    sign = -1 if popcount(config & (bit - 1)) & 1 else 1
-    return config ^ bit, sign
-
-
 def apply_operator_string(
     basis: SectorBasis, steps: Sequence[tuple[int, str]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,8 +210,10 @@ class BlockSpec:
         return self.modes == tuple(range(len(self.modes)))
 
 
-def split_config(config: int, block: BlockSpec, nmodes: int) -> tuple[int, int, int]:
-    """Split a configuration into (block_config, env_config, sign).
+def split_configs(
+    configs: np.ndarray, block: BlockSpec, nmodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split configurations into (block_configs, env_configs, signs) for one block.
 
     Block and environment occupations are re-indexed 0..k-1 preserving
     global order.  The sign is (-1)**inv where inv counts pairs of an
@@ -244,14 +221,6 @@ def split_config(config: int, block: BlockSpec, nmodes: int) -> tuple[int, int, 
     the parity of the permutation that moves all block-mode operators in
     front of the environment-mode operators.
     """
-    b, e, s = split_configs(np.asarray([config], dtype=_WORD), block, nmodes)
-    return int(b[0]), int(e[0]), int(s[0])
-
-
-def split_configs(
-    configs: np.ndarray, block: BlockSpec, nmodes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized split of many configurations for one block."""
     env = block.env_modes(nmodes)
     bits = configs.astype(_WORD, copy=False)
     if block.is_prefix():
@@ -275,17 +244,6 @@ def split_configs(
         inversions += occupied.astype(np.int64) * below
     signs = (1 - 2 * (inversions & 1)).astype(np.int8)
     return bvals, evals, signs
-
-
-def block_quantum_numbers(block_config: int, block: BlockSpec) -> tuple[int, int]:
-    """(particle count, twice the z-spin) of a block-local configuration."""
-    n = 0
-    sz2 = 0
-    for i, m in enumerate(block.modes):
-        if block_config >> i & 1:
-            n += 1
-            sz2 += 1 if m % 2 == UP else -1
-    return n, sz2
 
 
 def block_quantum_numbers_arrays(

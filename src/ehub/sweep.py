@@ -18,7 +18,7 @@ from math import isfinite, nan
 
 import numpy as np
 
-from .eigen import ground_state
+from .eigen import SolverOptions, ground_state
 from .fock import BlockSpec, Sector, enumerate_sector
 from .hamiltonian import ModelParams
 from .momentum import allowed_momenta, momentum_pair_block, total_momentum
@@ -26,16 +26,6 @@ from .rdm import dominant_config, reduced_density_matrix, von_neumann_entropy
 from .reference import classify_config
 
 CSV_HEADER = "L,l,U,V,bc,energy,gap,entropy_bits,degenerate,dominant"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    max_iter: int = 2000
-    seed: int = 1
-
-    def kwargs(self) -> dict:
-        return {"tol": self.tol, "max_iter": self.max_iter, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -93,8 +83,10 @@ def parse_range(spec: str) -> tuple[float, ...]:
 
 
 def _log(verbose: bool, message: str) -> None:
+    """One progress record, written in one call so pool workers never interleave it."""
     if verbose:
-        print(message, file=sys.stderr, flush=True)
+        sys.stderr.write(message + "\n")
+        sys.stderr.flush()
 
 
 def run_point(

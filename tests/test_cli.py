@@ -314,3 +314,27 @@ def test_scaling_needs_three_distinct_block_sizes(capsys, argv):
     assert out == ""
     assert "3 distinct block sizes" in err and "--l 1,2" in err
     assert "[point]" not in err
+
+
+SOLVER_RANGE = [("max-iter", "0"), ("max-iter", "-3"), ("seed", "-1"),
+                ("seed", str(2**64)), ("tol", "-1"), ("tol", "0")]
+
+
+@pytest.mark.parametrize("flag, value", SOLVER_RANGE)
+@pytest.mark.parametrize("head", [
+    ("ground", "--L", "8", "--U", "0", "--V", "0"),
+    ("sweep", "--L", "8", "--l", "2", "--grid-u", "0:0:1", "--grid-v", "0:0:1"),
+], ids=lambda head: head[0])
+def test_out_of_range_solver_flag_is_usage_error(capsys, head, flag, value):
+    code, out, err = run_cli(capsys, *head, f"--{flag}", value)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and flag.replace("-", "_") in err
+    assert "[point]" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_seed_range_ends_are_accepted(capsys, seed):
+    code, out, _ = run_cli(capsys, "ground", "--L", "8", "--U", "0", "--V", "0", "--seed", seed)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[8] == "lanczos"

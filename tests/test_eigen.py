@@ -6,6 +6,7 @@ import scipy.sparse as sparse
 
 from ehub.eigen import (
     ConvergenceError,
+    SolverOptions,
     dense_ground,
     ground_state,
     lanczos_ground,
@@ -147,3 +148,17 @@ def test_ground_state_sector_mismatch():
         ground_state(ModelParams(L=4, U=0.0, V=0.0), space="fourier")
     with pytest.raises(ValueError):
         ground_state(ModelParams(L=4, U=0.0, V=0.0), method="qr")
+
+
+@pytest.mark.parametrize("kwargs, word", [
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": -2}, "max_iter"),
+    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": float("nan")}, "tol"),
+    ({"tol": float("inf")}, "tol"), ({"seed": -1}, "seed"), ({"seed": 2**64}, "seed"),
+])
+def test_solver_options_out_of_range_raise_value_error(kwargs, word):
+    with pytest.raises(ValueError, match=word):
+        SolverOptions(**kwargs)
+    basis = enumerate_sector(Sector.half_filled(6))
+    H = build_real_hamiltonian(ModelParams(L=6, U=1.0, V=0.0), basis)
+    with pytest.raises(ValueError, match=word):  # before any product, not from inside the loop
+        lanczos_ground(H, **kwargs)

@@ -7,14 +7,19 @@ from math import comb
 from ehub.fock import (
     BlockSpec,
     Sector,
-    apply_mode_op,
     apply_operator_string,
-    block_quantum_numbers,
+    block_quantum_numbers_arrays,
     enumerate_sector,
     mode_index,
-    split_config,
     split_configs,
 )
+from oracles import apply_mode_op, block_quantum_numbers, split_config
+
+
+def _split(config, block, nmodes):
+    """The library's split of one configuration."""
+    b, e, s = split_configs(np.asarray([config], dtype=np.int64), block, nmodes)
+    return int(b[0]), int(e[0]), int(s[0])
 
 
 def test_mode_ordering_site_major():
@@ -124,7 +129,7 @@ def test_split_config_signs_against_permutation_parity_oracle():
     ]
     for config in range(1 << nmodes):
         for block in blocks:
-            bcfg, ecfg, sign = split_config(config, block, nmodes)
+            bcfg, ecfg, sign = _split(config, block, nmodes)
             assert sign == _oracle_split_sign(config, block.modes, nmodes)
             env = block.env_modes(nmodes)
             rebuilt = 0
@@ -138,13 +143,13 @@ def test_split_config_signs_against_permutation_parity_oracle():
 def test_split_config_examples():
     # block = site 0: no environment mode precedes a block mode
     for config in (0b0, 0b1011, 0b110011):
-        _, _, sign = split_config(config, BlockSpec.contiguous_sites(1), 8)
+        _, _, sign = _split(config, BlockSpec.contiguous_sites(1), 8)
         assert sign == 1
     # block = {2, 3} on occupancy {0, 2}: one inversion
-    bcfg, ecfg, sign = split_config(0b0101, BlockSpec.explicit([2, 3]), 8)
+    bcfg, ecfg, sign = _split(0b0101, BlockSpec.explicit([2, 3]), 8)
     assert (bcfg, ecfg, sign) == (0b01, 0b000001, -1)
     # block = everything: identity split
-    bcfg, ecfg, sign = split_config(0b10110, BlockSpec.explicit(range(8)), 8)
+    bcfg, ecfg, sign = _split(0b10110, BlockSpec.explicit(range(8)), 8)
     assert (bcfg, ecfg, sign) == (0b10110, 0, 1)
 
 
@@ -162,6 +167,12 @@ def test_block_quantum_numbers():
     assert block_quantum_numbers(0b11, site0) == (2, 0)
     assert block_quantum_numbers(0b01, site0) == (1, 1)
     assert block_quantum_numbers(0b10, site0) == (1, -1)
+    # the vectorized form agrees with the scalar one on every block configuration
+    for block in (site0, BlockSpec.explicit([1, 4, 6]), BlockSpec.contiguous_sites(3)):
+        configs = np.arange(1 << len(block), dtype=np.int64)
+        n, sz2 = block_quantum_numbers_arrays(configs, block)
+        want = [block_quantum_numbers(int(c), block) for c in configs]
+        assert list(zip(n.tolist(), sz2.tolist())) == want
 
 
 def test_block_spec_validation():
@@ -175,7 +186,7 @@ def test_block_spec_validation():
         BlockSpec.contiguous_sites(0)
     # block mode outside the register is caught at split time
     with pytest.raises(ValueError):
-        split_config(0, BlockSpec.explicit([9]), 8)
+        _split(0, BlockSpec.explicit([9]), 8)
 
 
 def test_apply_operator_string_hop():
@@ -188,3 +199,27 @@ def test_apply_operator_string_hop():
     assert int(basis.configs[src[0]]) == 1 << mode_index(0, 0)
     assert int(basis.configs[tgt[0]]) == 1 << mode_index(1, 0)
     assert sgn[0] == 1
+
+
+def test_apply_operator_string_matches_scalar_oracle():
+    basis = enumerate_sector(Sector(4, 2, 2))
+    strings = [
+        [(0, "annihilate"), (2, "create")],
+        [(7, "annihilate"), (1, "create")],
+        [(3, "annihilate"), (0, "annihilate"), (2, "create"), (5, "create")],
+    ]
+    for steps in strings:
+        tgt, src, sgn = apply_operator_string(basis, steps)
+        want = {}
+        for i, config in enumerate(int(c) for c in basis.configs):
+            sign = 1
+            for mode, kind in steps:
+                applied = apply_mode_op(config, mode, kind)
+                if applied is None:
+                    break
+                config, s = applied
+                sign *= s
+            else:
+                want[i] = (basis.index_of(config), sign)
+        got = {int(s): (int(t), int(g)) for t, s, g in zip(tgt, src, sgn)}
+        assert got == want

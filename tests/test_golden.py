@@ -4,11 +4,13 @@ The files in tests/golden/ were written by an earlier version of the
 code and are never regenerated: a refactor that changes a result must
 show up here.  Floats are compared to one unit of the 12th printed
 significant digit rather than as strings, because a rounding-level
-change in a matrix can flip that last digit.
+change in a matrix can flip that last digit.  The comparison is made on
+the printed decimals exactly, as ``decimal.Decimal``: one unit passes,
+two fail, whatever the binary rounding of the two strings.
 """
 
 import csv
-import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -40,16 +42,16 @@ EXACT = ("L", "l", "U", "V", "bc", "degenerate", "dominant")
 DEGENERATE_GAP_ATOL = 1e-8
 
 
-def _last_digit_unit(*values: float) -> float:
-    """One unit of the 12th significant digit of the largest value.
-
-    The slack of 1e-6 units absorbs the binary representation of two
-    decimals that differ by exactly one unit.
-    """
-    scale = max(abs(v) for v in values)
-    if scale == 0.0:
-        return 0.0
-    return 10.0 ** (math.floor(math.log10(scale)) - 11) * (1 + 1e-6)
+def within_last_digit(got: str, want: str) -> bool:
+    """True when two printed floats differ by at most one unit of the 12th
+    significant digit of the larger one; non-finite values must match."""
+    a, b = Decimal(got), Decimal(want)
+    if not (a.is_finite() and b.is_finite()):
+        return got == want
+    if a == b:
+        return True
+    exponent = max(d.adjusted() for d in (a, b) if d != 0)
+    return abs(a - b) <= Decimal(1).scaleb(exponent - 11)
 
 
 def _read(path: Path) -> list[dict[str, str]]:
@@ -72,8 +74,27 @@ def test_matches_golden(name, tmp_path, capsys):
             if key in EXACT:
                 assert g[key] == w[key], f"{where}: {key} {g[key]} != {w[key]}"
                 continue
-            a, b = float(g[key]), float(w[key])
-            tol = _last_digit_unit(a, b)
             if key == "gap" and w["degenerate"] == "1":
-                tol = DEGENERATE_GAP_ATOL
-            assert abs(a - b) <= tol, f"{where}: {key} {g[key]} vs golden {w[key]}"
+                ok = abs(float(g[key]) - float(w[key])) <= DEGENERATE_GAP_ATOL
+            else:
+                ok = within_last_digit(g[key], w[key])
+            assert ok, f"{where}: {key} {g[key]} vs golden {w[key]}"
+
+
+@pytest.mark.parametrize("got, want, ok", [
+    ("0.652010991706", "0.652010991707", True),  # 1.0000889e-12 apart in binary
+    ("0.652010991706", "0.652010991708", False),
+    ("-12.3456789012", "-12.3456789013", True),
+    ("-12.3456789012", "-12.3456789014", False),
+    ("9.99999999999", "10.0000000000", True),  # one unit of the larger value's digit
+    ("1e-05", "1.00000000001e-05", True),
+    ("1e-05", "1.00000000002e-05", False),
+    ("0", "0", True),
+    ("0", "1e-300", False),
+    ("inf", "inf", True),
+    ("nan", "nan", True),
+    ("nan", "0.5", False),
+])
+def test_within_last_digit(got, want, ok):
+    assert within_last_digit(got, want) is ok
+    assert within_last_digit(want, got) is ok

@@ -21,6 +21,7 @@ from ehub.momentum import (
     total_momentum,
     total_momentum_int,
 )
+from oracles import hermiticity_defect
 
 SAMPLES = ((-2.0, -0.5), (0.0, 1.0), (4.0, -1.0))
 
@@ -89,7 +90,7 @@ def test_interaction_terms_match_closed_form_spectra(L, bc):
 def test_hermiticity_defect():
     basis = enumerate_sector(Sector.half_filled(4))
     H = build_momentum_hamiltonian(ModelParams(L=4, U=2.3, V=-0.9), basis)
-    assert H.hermiticity_defect() < 1e-12
+    assert hermiticity_defect(H) < 1e-12
 
 
 def test_momentum_conservation_is_structural():

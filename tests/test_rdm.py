@@ -1,21 +1,29 @@
 """Reduced density matrices, entropies, and the single-site fast path."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from ehub.eigen import ground_state
-from ehub.fock import BlockSpec, Sector, enumerate_sector, mode_index
+from ehub.fock import BlockSpec, Sector, SectorBasis, enumerate_sector, mode_index
 from ehub.hamiltonian import ModelParams
+from ehub.momentum import allowed_momenta, momentum_pair_block
 from ehub.rdm import (
     LocalWeights,
+    ReducedDensityMatrix,
+    _PlanCache,
     dominant_config,
     local_entanglement,
     local_weights,
     rdm_rank,
     reduced_density_matrix,
+    trace_plan,
     von_neumann_entropy,
 )
 from ehub.reference import reference_state
+from oracles import unplanned_factors
 
 
 def test_singlet_pair_block_eigenvalues():
@@ -194,3 +202,122 @@ def test_local_weights_validation():
         LocalWeights(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         LocalWeights(-0.2, 0.4, 0.4, 0.4)
+
+
+def _planned_and_unplanned_blocks(L):
+    """Every prefix block, shifted and wrapping windows, an irregular mode
+    set, and every momentum +-k pair of the ring."""
+    blocks = [BlockSpec.contiguous_sites(l) for l in range(1, L)]
+    blocks += [BlockSpec.contiguous_sites(l, start=s, L=L) for l, s in ((1, 1), (2, 1), (3, L - 2))]
+    blocks.append(BlockSpec.explicit([1, 4, 2 * L - 1]))
+    grid = allowed_momenta(L, ModelParams(L=L, U=0.0, V=0.0).resolved_bc())
+    blocks += sorted({momentum_pair_block(grid, k) for k in grid.momenta if 0 < k < np.pi},
+                     key=lambda b: b.modes)
+    return blocks
+
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_plan_equals_unplanned_assembly_bitwise(L):
+    basis = enumerate_sector(Sector.half_filled(L))
+    states = [
+        ground_state(ModelParams(L=L, U=-2.0, V=-0.5)).amplitudes,
+        ground_state(ModelParams(L=L, U=1.0, V=0.5), space="momentum").amplitudes,
+    ]
+    for block in _planned_and_unplanned_blocks(L):
+        plan = trace_plan(basis, block)
+        assert (plan.signs is None) == block.is_prefix()
+        for amps in states:
+            got, got_trace = plan.factors(amps)
+            want, want_trace = unplanned_factors(amps, basis, block)
+            assert list(got) == list(want)
+            for key, (configs, psi) in want.items():
+                got_configs, got_psi = got[key]
+                assert got_configs.dtype == configs.dtype
+                assert np.array_equal(got_configs, configs)
+                assert (got_psi.dtype, got_psi.shape) == (psi.dtype, psi.shape)
+                assert got_psi.tobytes() == psi.tobytes()
+            assert got_trace == want_trace
+            rdm = reduced_density_matrix(amps, basis, block)
+            oracle = ReducedDensityMatrix(block=block, factors=want, trace=want_trace)
+            assert rdm.eigenvalues().tobytes() == oracle.eigenvalues().tobytes()
+            assert von_neumann_entropy(rdm) == von_neumann_entropy(oracle)
+
+
+def test_plan_is_reused_only_for_the_same_basis_object_and_block():
+    basis = enumerate_sector(Sector.half_filled(6))
+    block = BlockSpec.contiguous_sites(2)
+    plan = trace_plan(basis, block)
+    assert trace_plan(basis, BlockSpec(modes=block.modes, descriptor="renamed")) is plan
+    assert trace_plan(basis, BlockSpec.contiguous_sites(3)) is not plan
+    # an equal copy of the basis is another object and gets its own plan
+    configs = basis.configs.copy()
+    configs.flags.writeable = False
+    twin = SectorBasis(sector=basis.sector, configs=configs)
+    assert trace_plan(twin, block) is not plan
+    assert trace_plan(twin, block) is trace_plan(twin, block)
+    # another sector of the same L
+    other = enumerate_sector(Sector(6, 2, 3))
+    other_plan = trace_plan(other, block)
+    assert other_plan is not plan
+    assert other_plan.positions.size == len(other)
+    # a basis whose configurations can still change is never cached
+    loose = SectorBasis(sector=basis.sector, configs=basis.configs.copy())
+    assert trace_plan(loose, block) is not trace_plan(loose, block)
+
+
+def test_plan_arrays_are_read_only():
+    basis = enumerate_sector(Sector.half_filled(6))
+    plan = trace_plan(basis, BlockSpec.contiguous_sites(2, start=1))
+    arrays = [plan.positions, plan.signs, *plan.block_configs]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_plan_cache_stays_within_its_byte_bound():
+    basis = enumerate_sector(Sector.half_filled(6))
+    blocks = [BlockSpec.contiguous_sites(l) for l in (1, 2, 3)]
+    sizes = [trace_plan(basis, b).nbytes for b in blocks]
+    cache = _PlanCache(max_bytes=sizes[0] + sizes[2])  # holds blocks 0 and 2, not all three
+    first, second = (cache.get(basis, b) for b in blocks[:2])
+    assert cache.get(basis, blocks[0]) is first  # hit; blocks[1] is now least recent
+    cache.get(basis, blocks[2])
+    held = cache._plans.values()
+    assert sum(p.nbytes for p in held) <= cache.max_bytes
+    assert cache.get(basis, blocks[0]) is first
+    assert cache.get(basis, blocks[1]) is not second
+    # a plan larger than the whole bound is used but never held
+    tiny = _PlanCache(max_bytes=1)
+    assert tiny.get(basis, blocks[0]) is not tiny.get(basis, blocks[0])
+    assert not tiny._plans
+
+
+def test_plan_cache_under_racing_threads_builds_each_plan_once():
+    basis = enumerate_sector(Sector.half_filled(6))
+    blocks = [BlockSpec.contiguous_sites(l, start=s, L=6) for l in (1, 2, 3) for s in (0, 2)]
+    cache = _PlanCache(max_bytes=1 << 30)
+    seen = [[] for _ in range(8)]
+
+    def work(out):
+        for _ in range(20):
+            for block in blocks:
+                out.append((block.modes, id(cache.get(basis, block))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    ids = {}
+    for out in seen:
+        assert len(out) == 20 * len(blocks)
+        for modes, plan_id in out:
+            ids.setdefault(modes, set()).add(plan_id)
+    assert all(len(plan_ids) == 1 for plan_ids in ids.values())
+    assert len(cache._plans) == len(blocks)

@@ -1,5 +1,7 @@
 """Sweep drivers, fits, scans, and the table writers."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,23 @@ def test_matrix_table_layout():
 def test_gnuplot_script_mentions_data_file():
     assert "fig.csv" in gnuplot_script("fig.csv", "csv")
     assert "matrix" in gnuplot_script("fig.mat", "matrix")
+
+
+def test_each_point_record_is_one_write(monkeypatch):
+    class Recording:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    stream = Recording()
+    monkeypatch.setattr(sys, "stderr", stream)
+    spec = SweepSpec(L=4, block_sizes=(1,), u_values=(0.0, 1.0), v_values=(0.0, 0.5), workers=2)
+    run_grid(spec, verbose=True)
+    assert len(stream.writes) == 4
+    for text in stream.writes:
+        assert text.startswith("[point] ") and text.endswith("\n") and text.count("\n") == 1
