@@ -9,7 +9,10 @@ real-only and calls LAPACK's tridiagonal bisection and inverse
 iteration (dstebz, dstein) directly.  It stops on the lowest Ritz value
 alone; the second one, which gives the gap, is tracked but not
 converged.  The start vector comes from a seeded linear congruential
-stream so runs are reproducible bit for bit.
+stream, so runs are reproducible bit for bit for one BLAS build at one
+BLAS thread count; the thread count can move the last printed digit
+(the reorthogonalization products are BLAS calls, whose summation order
+can depend on it).
 """
 
 from __future__ import annotations

@@ -12,14 +12,22 @@ modes that precede it in the chosen ordering.
 With this ordering a contiguous block of the first l sites occupies the
 lowest 2l bits, so splitting a configuration into (block, environment)
 for that block never produces a sign.
+
+A sector is also the product of its spin species (Lin, PRB 42, 6561
+(1990)): every configuration is an up word (the even bits) OR a down
+word (the odd bits), and each pair of words is one configuration.
+``SectorBasis.species`` holds both word lists sorted and the rank table
+from (up word, down word) to basis index, so an operator that moves one
+species is built from that species' C(L, n) words instead of from every
+configuration of the sector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +37,8 @@ DOWN = 1
 MAX_SITES = 14  # configurations must fit comfortably in an int64 word
 
 _WORD = np.int64
+# the bits of all up modes (even) and of all down modes (odd)
+_SPIN_MASK = (_WORD(0x5555555555555555), ~_WORD(0x5555555555555555))
 
 
 def mode_index(site: int, spin: int) -> int:
@@ -77,7 +87,8 @@ class SectorBasis:
 
     The position of a configuration in ``configs`` is its basis index;
     lookup is by binary search, so enumeration and lookup are exact
-    inverses of each other.
+    inverses of each other.  ``species`` is derived from ``configs`` on
+    first use and kept, so ``configs`` must not change after that.
     """
 
     sector: Sector
@@ -96,11 +107,38 @@ class SectorBasis:
             raise KeyError(f"configuration {bits:#x} not in sector {self.sector}")
         return i
 
-    def index_many(self, bits: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.configs, bits)
-        if not np.array_equal(self.configs[idx], bits):
-            raise KeyError("configuration(s) not in sector basis")
-        return idx
+    @cached_property
+    def species(self) -> "SpeciesTables":
+        """The per-spin words of the sector and their rank table, built on first use."""
+        sector = self.sector
+        words = (
+            np.sort(_spin_words(sector.L, sector.nup, UP)),
+            np.sort(_spin_words(sector.L, sector.ndn, DOWN)),
+        )
+        rank = np.empty((words[UP].size, words[DOWN].size), dtype=np.int32)
+        rank[
+            np.searchsorted(words[UP], self.configs & _SPIN_MASK[UP]),
+            np.searchsorted(words[DOWN], self.configs & _SPIN_MASK[DOWN]),
+        ] = np.arange(self.configs.size, dtype=np.int32)
+        for array in (*words, rank):
+            array.flags.writeable = False
+        return SpeciesTables(words=words, rank=rank)
+
+
+@dataclass(frozen=True, eq=False)
+class SpeciesTables:
+    """A sector as the product of its up and down words.
+
+    ``words[s]`` holds every placement of the spin-s electrons as a bit
+    word, in increasing order; ``rank[i, j]`` is the basis index of the
+    configuration ``words[UP][i] | words[DOWN][j]``.  An operator that
+    moves electrons of one spin acts on that spin's words only, so it is
+    built from C(L, n_s) words and the rank table rather than from every
+    configuration of the sector.
+    """
+
+    words: tuple[np.ndarray, np.ndarray]
+    rank: np.ndarray
 
 
 def _spin_words(L: int, n: int, spin: int) -> np.ndarray:
@@ -127,38 +165,6 @@ def enumerate_sector(sector: Sector) -> SectorBasis:
     configs = np.sort((up[:, None] | dn[None, :]).ravel())
     configs.flags.writeable = False
     return SectorBasis(sector=sector, configs=configs)
-
-
-def apply_operator_string(
-    basis: SectorBasis, steps: Sequence[tuple[int, str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply a product of mode operators to every basis configuration at once.
-
-    ``steps`` lists (mode, kind) pairs in application order, i.e. the
-    rightmost operator of the product comes first.  Returns
-    (target_indices, source_indices, signs) for the configurations that
-    survive all steps.  The string must conserve the sector's particle
-    numbers per spin, otherwise the target lookup fails.
-    """
-    bits = basis.configs
-    source = np.arange(bits.size)
-    sign = np.ones(bits.size, dtype=np.int8)
-    for mode, kind in steps:
-        bit = _WORD(1 << mode)
-        occupied = (bits & bit) != 0
-        keep = occupied if kind == "annihilate" else ~occupied
-        if not keep.all():
-            bits = bits[keep]
-            source = source[keep]
-            sign = sign[keep]
-        if bits.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.int8)
-        parity = (popcount_array(bits & (bit - _WORD(1))) & 1).astype(np.int8)
-        sign = sign * (1 - 2 * parity)
-        bits = bits ^ bit
-    target = basis.index_many(bits)
-    return target, source, sign
 
 
 @dataclass(frozen=True)

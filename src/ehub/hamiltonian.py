@@ -10,6 +10,15 @@ L-1 <-> 0 carries an extra factor -1) for L = 4n.  The twist is a pure
 gauge on the hopping; the density-density V term always wraps the ring
 without any sign.
 
+The hopping, and every momentum density operator, comes from one
+builder, ``one_body_matrix``, which works on spin-species tables
+(``fock.SectorBasis.species``).  A hop c^dag_dst c_src moves one
+species: it is applied to that species' words only and each result is
+paired with every word of the other species through the rank table.
+Its Jordan-Wigner sign, the parity of the occupied modes strictly
+between src and dst, splits into the hopping word's parity and the
+other word's parity over that range of modes.
+
 Matrices are assembled from coupling-independent factors (hopping at
 t=1 plus two diagonal vectors), cached per sector on one canonical CSR
 pattern whose index arrays are read-only.  A (U, V) point computes only
@@ -32,7 +41,6 @@ from .fock import (
     DOWN,
     UP,
     SectorBasis,
-    apply_operator_string,
     mode_index,
     popcount_array,
 )
@@ -216,18 +224,40 @@ class RealTerms:
 def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
     """sum of coeff * c^dag_dst c_src over a sector basis, as canonical CSR.
 
-    ``hops`` yields (dst_mode, src_mode, coeff) triples; the matrix is
-    real when every coefficient is.
+    ``hops`` yields (dst_mode, src_mode, coeff) triples of one spin each;
+    the matrix is real when every coefficient is.  A hop acts on the
+    words of its spin only (``SectorBasis.species``): it takes the words
+    with src occupied and, src emptied, dst free, and pairs each with
+    every word of the other spin through the rank table.  Its
+    Jordan-Wigner sign is the parity of the occupied modes strictly
+    between src and dst, which splits into the hopping word's parity and
+    the other word's parity over that range; for src == dst the range is
+    empty.  A hop gives each row at most one entry, so the COO-to-CSR
+    conversion lists each row's entries in hop order, whatever order a
+    hop yields its entries in: duplicates are summed in an order set by
+    ``hops`` alone.
     """
+    tables = basis.species
     dim = len(basis)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     for dst, src, coeff in hops:
-        tgt, source, sgn = apply_operator_string(basis, [(src, "annihilate"), (dst, "create")])
-        rows.append(tgt)
-        cols.append(source)
-        vals.append(coeff * sgn.astype(np.float64))
+        spin = src % 2
+        if dst % 2 != spin:
+            raise ValueError(f"hop {src} -> {dst} changes the spin")
+        words, other = tables.words[spin], tables.words[1 - spin]
+        rank = tables.rank if spin == UP else tables.rank.T
+        src_bit, dst_bit = np.int64(1 << src), np.int64(1 << dst)
+        movable = np.flatnonzero((words & src_bit != 0) & ((words ^ src_bit) & dst_bit == 0))
+        moved = np.searchsorted(words, words[movable] ^ src_bit ^ dst_bit)
+        lo, hi = min(src, dst), max(src, dst)
+        between = np.int64(((1 << hi) - 1) & ~((1 << (lo + 1)) - 1))
+        word_sign = 1.0 - 2.0 * (popcount_array(words[movable] & between) & 1)
+        other_sign = 1.0 - 2.0 * (popcount_array(other & between) & 1)
+        rows.append(rank[moved].ravel())
+        cols.append(rank[movable].ravel())
+        vals.append(coeff * np.multiply.outer(word_sign, other_sign).ravel())
     mat = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -238,15 +268,19 @@ def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
     return out
 
 
-def _hopping_matrix(basis: SectorBasis, bc: str) -> sparse.csr_matrix:
-    L = basis.sector.L
+def _hopping_hops(L: int, bc: str) -> list[tuple[int, int, float]]:
+    """The 4L directed hops of the ring at t = 1, the wrap bond twisted for antiperiodic."""
     hops = []
     for a in range(L):
         for b in ((a + 1) % L, (a - 1) % L):
             twist = -1.0 if bc == "antiperiodic" and {a, b} == {0, L - 1} else 1.0
             for spin in (UP, DOWN):
                 hops.append((mode_index(b, spin), mode_index(a, spin), -twist))
-    return one_body_matrix(basis, hops)
+    return hops
+
+
+def _hopping_matrix(basis: SectorBasis, bc: str) -> sparse.csr_matrix:
+    return one_body_matrix(basis, _hopping_hops(basis.sector.L, bc))
 
 
 @lru_cache(maxsize=6)

@@ -15,7 +15,12 @@ q = 2 pi n / L:
     sum_j n_{j,up} n_{j,dn} = (1/L) sum_q rho^up_q rho^dn_{-q}
     sum_j n_j n_{j+1}       = (1/L) sum_q cos(q) rho_q rho_{-q}
 
-with rho_q = rho^up_q + rho^dn_q.  The second line is the Fourier form
+with rho_q = rho^up_q + rho^dn_q.  Each rho^s_q moves one species, so
+the builder applies it to the species' words and reaches the basis
+through the rank table, with the sign split into the two species'
+parities as for the real-space hopping (see ``hamiltonian``); the
+products are then plain sparse products, summed in q order, which fixes
+every bit of the result.  The second line is the Fourier form
 (1/L) sum_q e^{iq} rho_q rho_{-q}: all rho_q commute, so the sine parts
 of q and -q cancel and both terms are real matrices.  Diagonalizing
 this construction directly (rather than rotating a real-space
@@ -166,13 +171,12 @@ def _kinetic_diagonal(basis: SectorBasis, grid: MomentumGrid) -> np.ndarray:
     return diag
 
 
-def _density(basis: SectorBasis, grid: MomentumGrid, qm: int, spin: int) -> sparse.csr_matrix:
-    """rho^spin_q = sum_k c^dag_{k+q,spin} c_{k,spin}, a real matrix."""
-    hops = (
+def _density_hops(grid: MomentumGrid, qm: int, spin: int) -> list[tuple[int, int, float]]:
+    """The hops of rho^spin_q = sum_k c^dag_{k+q,spin} c_{k,spin}, a real matrix."""
+    return [
         (grid.mode(grid.index_of(m + qm), spin), grid.mode(n, spin), 1.0)
         for n, m in enumerate(grid.mints)
-    )
-    return one_body_matrix(basis, hops)
+    ]
 
 
 def _sum_of_products(terms) -> sparse.csr_matrix:
@@ -196,7 +200,11 @@ def _interaction_terms(basis: SectorBasis, grid: MomentumGrid):
     """The onsite and neighbor terms as CSR; the rho_q products are freed on return."""
     L = grid.L
     transfers = [grid.fold(2 * n) for n in range(L)]  # q = 2 pi n / L on either grid
-    rho = {(qm, s): _density(basis, grid, qm, s) for qm in transfers for s in (UP, DOWN)}
+    rho = {
+        (qm, s): one_body_matrix(basis, _density_hops(grid, qm, s))
+        for qm in transfers
+        for s in (UP, DOWN)
+    }
     total = {qm: rho[qm, UP] + rho[qm, DOWN] for qm in transfers}
     onsite = _sum_of_products(
         (1.0 / L, rho[qm, UP], rho[grid.fold(-qm), DOWN]) for qm in transfers

@@ -1,14 +1,74 @@
 """Direct reference implementations the tests hold the library against.
 
 Each function here does the job of a vectorized or planned library
-routine in the plainest way: one configuration at a time, or the
-partial trace assembled afresh for every state with no plan.  None of
-them is used by the library itself.
+routine in the plainest way: one configuration at a time, the partial
+trace assembled afresh for every state with no plan, or an operator
+applied to every configuration of the sector at once.  None of them is
+used by the library itself.
+
+``apply_operator_string`` and ``SectorBasis.index_many`` (here the
+function ``index_many``) moved from ``ehub.fock`` once
+``hamiltonian.one_body_matrix`` came to build from the spin-species
+tables (``SectorBasis.species``).  They know nothing of those tables:
+every configuration of the sector is pushed through the operators mode
+by mode, each crossed mode's parity is taken over the whole
+configuration, and each target is found by binary search in the sorted
+basis.  A CSR summed from their output is the independent reference the
+species build has to equal byte for byte.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from ehub.fock import UP, BlockSpec, SectorBasis, block_quantum_numbers_arrays, split_configs
+from ehub.fock import (
+    UP,
+    BlockSpec,
+    SectorBasis,
+    block_quantum_numbers_arrays,
+    popcount_array,
+    split_configs,
+)
+
+
+def index_many(basis: SectorBasis, bits: np.ndarray) -> np.ndarray:
+    """Basis indices of configurations, by binary search in the sorted basis."""
+    idx = np.searchsorted(basis.configs, bits)
+    if not np.array_equal(basis.configs[idx], bits):
+        raise KeyError("configuration(s) not in sector basis")
+    return idx
+
+
+def apply_operator_string(
+    basis: SectorBasis, steps: Sequence[tuple[int, str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply a product of mode operators to every basis configuration at once.
+
+    ``steps`` lists (mode, kind) pairs in application order, i.e. the
+    rightmost operator of the product comes first.  Returns
+    (target_indices, source_indices, signs) for the configurations that
+    survive all steps.  The string must conserve the sector's particle
+    numbers per spin, otherwise the target lookup fails.
+    """
+    bits = basis.configs
+    source = np.arange(bits.size)
+    sign = np.ones(bits.size, dtype=np.int8)
+    for mode, kind in steps:
+        bit = np.int64(1 << mode)
+        occupied = (bits & bit) != 0
+        keep = occupied if kind == "annihilate" else ~occupied
+        if not keep.all():
+            bits = bits[keep]
+            source = source[keep]
+            sign = sign[keep]
+        if bits.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=np.int8)
+        parity = (popcount_array(bits & (bit - np.int64(1))) & 1).astype(np.int8)
+        sign = sign * (1 - 2 * parity)
+        bits = bits ^ bit
+    target = index_many(basis, bits)
+    return target, source, sign
 
 
 def apply_mode_op(config: int, mode: int, kind: str) -> tuple[int, int] | None:

@@ -7,13 +7,17 @@ from math import comb
 from ehub.fock import (
     BlockSpec,
     Sector,
-    apply_operator_string,
     block_quantum_numbers_arrays,
     enumerate_sector,
     mode_index,
     split_configs,
 )
-from oracles import apply_mode_op, block_quantum_numbers, split_config
+from oracles import (
+    apply_mode_op,
+    apply_operator_string,
+    block_quantum_numbers,
+    split_config,
+)
 
 
 def _split(config, block, nmodes):

@@ -1,8 +1,13 @@
-"""CLI outputs compared field by field with committed golden CSVs.
+"""CLI outputs and Hamiltonian terms compared with committed goldens.
 
 The files in tests/golden/ were written by an earlier version of the
 code and are never regenerated: a refactor that changes a result must
-show up here.  Floats are compared to one unit of the 12th printed
+show up here.  ``terms_sha256.json`` pins the sector terms themselves:
+the sha256 and dtype of every array of ``real_terms`` and
+``momentum_terms`` over a set of sectors, so any change to a single bit
+of a term build fails before it reaches a solve.
+
+CSV floats are compared to one unit of the 12th printed
 significant digit rather than as strings, because a rounding-level
 change in a matrix can flip that last digit.  The comparison is made on
 the printed decimals exactly, as ``decimal.Decimal``: one unit passes,
@@ -10,12 +15,19 @@ two fail, whatever the binary rounding of the two strings.
 """
 
 import csv
+import dataclasses
+import hashlib
+import json
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ehub.cli import main
+from ehub.fock import Sector, enumerate_sector
+from ehub.hamiltonian import real_terms
+from ehub.momentum import momentum_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,3 +110,41 @@ def test_matches_golden(name, tmp_path, capsys):
 def test_within_last_digit(got, want, ok):
     assert within_last_digit(got, want) is ok
     assert within_last_digit(want, got) is ok
+
+
+# (terms builder, L, nup, ndn): half filling at every size, plus a
+# one-up-two-down and a no-up sector while the sector is small
+TERM_SECTORS = (
+    *((real_terms, L, L // 2, L // 2) for L in (4, 6, 8, 10)),
+    *((momentum_terms, L, L // 2, L // 2) for L in (4, 6, 8)),
+    *((build, L, nup, ndn) for build in (real_terms, momentum_terms) for L in (4, 6)
+      for nup, ndn in ((1, 2), (0, L // 2))),
+)
+
+
+def _digest(array: np.ndarray) -> str:
+    return f"{array.dtype.str} {hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()}"
+
+
+def term_digests() -> dict[str, dict[str, str]]:
+    """dtype and sha256 of every array of the terms in ``TERM_SECTORS``, both boundaries."""
+    out = {}
+    for build, L, nup, ndn in TERM_SECTORS:
+        basis = enumerate_sector(Sector(L, nup, ndn))
+        for bc in ("periodic", "antiperiodic"):
+            terms = build(basis, bc)
+            arrays = {f"pattern.{f.name}": getattr(terms.pattern, f.name)
+                      for f in dataclasses.fields(terms.pattern)}
+            arrays.update((f.name, getattr(terms, f.name))
+                          for f in dataclasses.fields(terms) if f.name != "pattern")
+            key = f"{build.__name__} L={L} ({nup},{ndn}) {bc}"
+            out[key] = {name: _digest(a) for name, a in arrays.items()}
+    return out
+
+
+def test_term_digests_match_golden():
+    want = json.loads((GOLDEN / "terms_sha256.json").read_text(encoding="ascii"))
+    got = term_digests()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key

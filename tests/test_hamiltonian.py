@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from ehub.fock import Sector, enumerate_sector, mode_index
 from ehub.hamiltonian import (
     ModelParams,
     _cached_real_terms,
+    _hopping_hops,
     _hopping_matrix,
     boundary_for,
     build_real_hamiltonian,
     diagonal_energy,
     double_occupancy_counts,
     neighbor_density_products,
+    one_body_matrix,
     real_terms,
 )
-from oracles import hermiticity_defect
+from ehub.momentum import _density_hops, allowed_momenta
+from oracles import apply_operator_string, hermiticity_defect
 
 # (U, V, t): zero couplings, U = 2V and U = -2V, where terms cancel exactly on some entries
 COUPLINGS = (
@@ -208,3 +212,82 @@ def test_matvec_equals_the_sparse_product_bitwise(space):
         assert H.matvec(strided).tobytes() == (H.matrix @ strided).tobytes()
         with pytest.raises(ValueError, match="length"):
             H.matvec(x[:-1])
+
+
+def _oracle_one_body(basis, hops):
+    """sum of coeff * c^dag_dst c_src as canonical CSR, from every configuration's string."""
+    dim = len(basis)
+    rows, cols, vals = [], [], []
+    for dst, src, coeff in hops:
+        tgt, source, sgn = apply_operator_string(basis, [(src, "annihilate"), (dst, "create")])
+        rows.append(tgt)
+        cols.append(source)
+        vals.append(coeff * sgn.astype(np.float64))
+    mat = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+    out = mat.tocsr()
+    out.sum_duplicates()
+    out.sort_indices()
+    return out
+
+
+def _hop_lists(L):
+    """Every hop list the library builds at L, and a seeded random one of same-spin hops."""
+    lists = {f"hopping {bc}": _hopping_hops(L, bc) for bc in ("periodic", "antiperiodic")}
+    for bc in ("periodic", "antiperiodic"):
+        grid = allowed_momenta(L, bc)
+        for qm in sorted({grid.fold(2 * n) for n in range(L)}):
+            for spin in (0, 1):
+                lists[f"rho {bc} q={qm} spin={spin}"] = _density_hops(grid, qm, spin)
+    rng = np.random.default_rng(L)
+    randoms = []
+    for _ in range(6 * L):
+        spin = int(rng.integers(2))
+        a, b = (int(j) for j in rng.integers(L, size=2))
+        randoms.append((mode_index(b, spin), mode_index(a, spin), float(rng.standard_normal())))
+    wrap = (mode_index(0, 1), mode_index(L - 1, 1), 0.75)
+    number = (mode_index(1, 0), mode_index(1, 0), -2.0)
+    lists["random"] = randoms + [wrap, number]
+    return lists
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_one_body_matrix_equals_operator_string_oracle_bytewise(L):
+    sectors = {(L // 2, L // 2), (1, 2), (0, L // 2), (L, 0)}
+    lists = _hop_lists(L)
+    # the q = 0 densities are number operators (src == dst), every
+    # hopping list has the wrap bond, and at L = 2 both neighbours of a
+    # site are the same site, so each of its hops comes twice
+    assert all(dst == src for dst, src, _ in lists["rho periodic q=0 spin=0"])
+    assert any({dst // 2, src // 2} == {0, L - 1} for dst, src, _ in lists["hopping periodic"])
+    if L == 2:
+        assert len(set(lists["hopping periodic"])) < len(lists["hopping periodic"])
+    for nup, ndn in sorted(sectors):
+        basis = enumerate_sector(Sector(L, nup, ndn))
+        for name, hops in lists.items():
+            got = one_body_matrix(basis, hops)
+            want = _oracle_one_body(basis, hops)
+            for array in ("data", "indices", "indptr"):
+                g, w = getattr(got, array), getattr(want, array)
+                where = f"L={L} ({nup},{ndn}) {name} {array}"
+                assert g.dtype == w.dtype, where
+                assert g.tobytes() == w.tobytes(), where
+
+
+def test_one_body_matrix_refuses_a_spin_flip():
+    basis = enumerate_sector(Sector(4, 2, 2))
+    with pytest.raises(ValueError, match="spin"):
+        one_body_matrix(basis, [(mode_index(1, 1), mode_index(0, 0), 1.0)])
+
+
+def test_species_tables_rank_every_configuration():
+    for nup, ndn in ((3, 3), (1, 2), (0, 3), (6, 0)):
+        basis = enumerate_sector(Sector(6, nup, ndn))
+        tables = basis.species
+        assert tables is basis.species
+        up, dn = tables.words
+        assert np.all(np.diff(up) > 0) and np.all(np.diff(dn) > 0)
+        configs = up[:, None] | dn[None, :]
+        np.testing.assert_array_equal(basis.configs[tables.rank], configs)
+        assert sorted(tables.rank.ravel()) == list(range(len(basis)))
