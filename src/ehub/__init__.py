@@ -15,7 +15,6 @@ from .hamiltonian import (
     SparseHamiltonian,
     boundary_for,
     build_real_hamiltonian,
-    diagonal_energy,
 )
 from .momentum import (
     MomentumGrid,

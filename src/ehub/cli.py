@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigen import ConvergenceError, ground_state
 from .fock import Sector, enumerate_sector
-from .hamiltonian import BC_CHOICES, ModelParams, boundary_for
+from .hamiltonian import BC_CHOICES, ModelParams
 from .momentum import allowed_momenta, momentum_pair_block
 from .rdm import local_entanglement, local_weights
 from .sweep import (
@@ -233,8 +233,7 @@ def _derivative(o: dict[str, Any]) -> str:
 def _momentum(o: dict[str, Any]) -> str:
     L = _single_L(o)
     try:
-        bc = boundary_for(L) if o["bc"] == "auto" else o["bc"]
-        momentum_pair_block(allowed_momenta(L, bc), o["k"])
+        momentum_pair_block(allowed_momenta(L, o["bc"]), o["k"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = momentum_scan(L, o["k"], o["U"], o["grid-v"], bc=o["bc"], t=o["t"], solver=_solver(o))

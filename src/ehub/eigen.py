@@ -28,6 +28,7 @@ from .hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
 
 DENSE_LIMIT = 4096
 DEGENERACY_GAP = 1e-8
+_N_TRACK = 2  # levels tracked: the ground level and the next, for the gap
 _LANCZOS_MEMORY_BUDGET = 3_000_000_000  # bytes of stored basis vectors
 _BLOCK_ROWS = 64  # stored vectors per projection and combination product
 
@@ -67,7 +68,7 @@ class ConvergenceError(RuntimeError):
 class GroundStateResult:
     """Lowest eigenvalues and the ground eigenvector of one sector."""
 
-    energies: np.ndarray  # ascending, length n_low
+    energies: np.ndarray  # the two lowest, ascending (one for a 1x1 matrix)
     amplitudes: np.ndarray  # eigenvector of energies[0], unit norm
     residual: float
     gap: float
@@ -80,11 +81,11 @@ class GroundStateResult:
         return float(self.energies[0])
 
 
-def _result(tracked, n_low, vector, residual, method, iterations) -> GroundStateResult:
+def _result(tracked, vector, residual, method, iterations) -> GroundStateResult:
     tracked = np.asarray(tracked, dtype=np.float64)
     gap = float(tracked[1] - tracked[0]) if tracked.size > 1 else np.inf
     return GroundStateResult(
-        energies=tracked[: max(n_low, 1)],
+        energies=tracked,
         amplitudes=vector,
         residual=float(residual),
         gap=gap,
@@ -94,16 +95,15 @@ def _result(tracked, n_low, vector, residual, method, iterations) -> GroundState
     )
 
 
-def dense_ground(H: SparseHamiltonian, n_low: int = 1) -> GroundStateResult:
-    """Full Hermitian eigendecomposition; lowest n_low eigenpairs."""
+def dense_ground(H: SparseHamiltonian) -> GroundStateResult:
+    """Full Hermitian eigendecomposition; the ground vector and the two lowest levels."""
     dim = H.dimension
     if dim > DENSE_LIMIT:
         raise ValueError(f"dimension {dim} exceeds dense solver limit {DENSE_LIMIT}")
     w, v = np.linalg.eigh(H.toarray())
-    n_keep = min(max(n_low, 2), dim)
     x = np.ascontiguousarray(v[:, 0])
     residual = float(np.linalg.norm(H.matvec(x) - w[0] * x))
-    return _result(w[:n_keep], n_low, x, residual, "dense", iterations=1)
+    return _result(w[:_N_TRACK], x, residual, "dense", iterations=1)
 
 
 def _lcg_start_vector(n: int, seed: int, dtype: np.dtype) -> np.ndarray:
@@ -133,7 +133,6 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> None:
 
 def lanczos_ground(
     H: SparseHamiltonian,
-    n_low: int = 1,
     tol: float = 1e-10,
     max_iter: int = 2000,
     seed: int = 1,
@@ -154,7 +153,7 @@ def lanczos_ground(
         raise TypeError(f"lanczos_ground takes a real matrix, got dtype {H.dtype}")
     budget = max(int(_LANCZOS_MEMORY_BUDGET // (dim * 8)), 16)
     n_iter = min(max_iter, dim, budget)
-    n_track = min(max(n_low, 2), dim)
+    n_track = min(_N_TRACK, dim)
 
     # rows are touched only as they are written, so unused ones cost no memory
     basis = np.empty((n_iter, dim))
@@ -216,7 +215,7 @@ def lanczos_ground(
             residual=residual,
             iterations=iterations,
         )
-    return _result(theta, n_low, x, residual, "lanczos", iterations)
+    return _result(theta, x, residual, "lanczos", iterations)
 
 
 def _stebz(alpha, beta, n_track, order):
@@ -251,8 +250,6 @@ def ground_state(
     params: ModelParams,
     sector: Sector | None = None,
     space: str = "real",
-    method: str = "auto",
-    n_low: int = 2,
     tol: float = 1e-10,
     max_iter: int = 2000,
     seed: int = 1,
@@ -260,23 +257,14 @@ def ground_state(
     """Build the sector basis and Hamiltonian, then solve for the ground state.
 
     Dispatches to the dense solver for dimensions up to 4096 and to
-    Lanczos above that; n_low defaults to 2 so the gap and the
-    degeneracy flag are always populated.  A degenerate result is still
-    returned, only flagged (block entropies of a degenerate ground
-    state are not well defined).
+    Lanczos above that.  A degenerate result is still returned, only
+    flagged (block entropies of a degenerate ground state are not well
+    defined).
     """
     if sector is None:
         sector = Sector.half_filled(params.L)
     if params.L != sector.L:
         raise ValueError(f"parameter L={params.L} does not match sector L={sector.L}")
-    dim = sector.dimension
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT else "lanczos"
-    if method == "dense" and dim > DENSE_LIMIT:
-        raise ValueError(f"dimension {dim} exceeds dense solver limit {DENSE_LIMIT}")
-    if method not in ("dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-
     basis = enumerate_sector(sector)
     if space == "real":
         H = build_real_hamiltonian(params, basis)
@@ -287,7 +275,7 @@ def ground_state(
     else:
         raise ValueError(f"space must be 'real' or 'momentum', got {space!r}")
 
-    if method == "dense":
-        return dense_ground(H, n_low=n_low)
-    return lanczos_ground(H, n_low=n_low, tol=tol, max_iter=max_iter, seed=seed)
+    if H.dimension <= DENSE_LIMIT:
+        return dense_ground(H)
+    return lanczos_ground(H, tol=tol, max_iter=max_iter, seed=seed)
 

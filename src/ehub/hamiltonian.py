@@ -135,14 +135,6 @@ def neighbor_density_products(configs: np.ndarray, L: int) -> np.ndarray:
     return total.astype(np.int64)
 
 
-def diagonal_energy(config: int, params: ModelParams) -> float:
-    """Interaction energy U*(doublons) + V*sum_j n_j n_{j+1} of one configuration."""
-    arr = np.asarray([config], dtype=np.int64)
-    nd = double_occupancy_counts(arr, params.L)[0]
-    nv = neighbor_density_products(arr, params.L)[0]
-    return params.U * float(nd) + params.V * float(nv)
-
-
 @dataclass(frozen=True, eq=False)
 class TermPattern:
     """One canonical CSR pattern that every term of a sector is aligned to.

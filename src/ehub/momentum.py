@@ -55,6 +55,8 @@ from .hamiltonian import (
     one_body_matrix,
 )
 
+SNAP_TOL = 1e-6  # largest accepted distance of a requested k from its grid momentum
+
 
 def _fold(m: int, L: int) -> int:
     """Reduce an integer momentum label to the window (-L, L]."""
@@ -87,8 +89,9 @@ class MomentumGrid:
     def fold(self, m: int) -> int:
         return _fold(m, self.L)
 
-    def dispersion(self, t: float = 1.0) -> np.ndarray:
-        return np.asarray([-2.0 * t * cos(k) for k in self.momenta])
+    def dispersion(self) -> np.ndarray:
+        """Single-particle energies -2 cos k at t = 1, one per grid momentum."""
+        return np.asarray([-2.0 * cos(k) for k in self.momenta])
 
 
 def allowed_momenta(L: int, bc: str) -> MomentumGrid:
@@ -120,15 +123,15 @@ def total_momentum_int(config: int, grid: MomentumGrid) -> int:
     return _fold(m_tot, grid.L)
 
 
-def momentum_pair_block(grid: MomentumGrid, k: float, snap_tol: float = 1e-6) -> BlockSpec:
+def momentum_pair_block(grid: MomentumGrid, k: float) -> BlockSpec:
     """Block of the four modes {(+k, up), (-k, up), (+k, dn), (-k, dn)}.
 
     ``k`` is snapped to the nearest grid momentum; deviations beyond
-    ``snap_tol`` are rejected.
+    ``SNAP_TOL`` are rejected.
     """
     diffs = [abs(_fold_angle(k) - kk) for kk in grid.momenta]
     n_plus = int(np.argmin(diffs))
-    if diffs[n_plus] > snap_tol:
+    if diffs[n_plus] > SNAP_TOL:
         raise ValueError(
             f"momentum {k:.10f} is {diffs[n_plus]:.3e} away from the nearest "
             f"grid point; allowed momenta are {[round(x, 10) for x in grid.momenta]}"
@@ -162,7 +165,7 @@ class MomentumTerms:
 
 
 def _kinetic_diagonal(basis: SectorBasis, grid: MomentumGrid) -> np.ndarray:
-    eps = grid.dispersion(t=1.0)
+    eps = grid.dispersion()
     diag = np.zeros(len(basis), dtype=np.float64)
     for n in range(grid.L):
         for spin in (UP, DOWN):
@@ -231,18 +234,13 @@ def momentum_terms(basis: SectorBasis, bc: str) -> MomentumTerms:
     return _cached_momentum_terms(basis.sector, bc)
 
 
-def build_momentum_hamiltonian(
-    params: ModelParams, basis: SectorBasis, grid: MomentumGrid | None = None
-) -> SparseHamiltonian:
+def build_momentum_hamiltonian(params: ModelParams, basis: SectorBasis) -> SparseHamiltonian:
     """Assemble the Hamiltonian in the momentum occupation basis (real symmetric)."""
     if params.L != basis.sector.L:
         raise ValueError(
             f"parameter L={params.L} does not match basis L={basis.sector.L}"
         )
-    bc = params.resolved_bc()
-    if grid is not None and (grid.bc != bc or grid.L != params.L):
-        raise ValueError(f"grid {grid.bc}/L={grid.L} inconsistent with params {bc}/L={params.L}")
-    terms = momentum_terms(basis, bc)
+    terms = momentum_terms(basis, params.resolved_bc())
     data = params.U * terms.onsite
     diagonal = terms.pattern.diagonal
     data[diagonal] = params.t * terms.kinetic + data[diagonal]

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .eigen import dense_ground, ground_state, lanczos_ground, _lcg_start_vector
+from .eigen import DENSE_LIMIT, dense_ground, ground_state, lanczos_ground, _lcg_start_vector
 from .fock import BlockSpec, Sector, enumerate_sector
 from .hamiltonian import ModelParams, build_real_hamiltonian
 from .momentum import build_momentum_hamiltonian, total_momentum_int, allowed_momenta
@@ -203,10 +203,10 @@ def check_rdm_properties() -> CheckResult:
     return _check("rdm_properties", run)
 
 
-def sectors_up_to(limit: int, sizes=(4, 6, 8)) -> list[Sector]:
-    """All (L, nup <= ndn) sectors with 2 <= dimension <= limit."""
+def sectors_up_to(limit: int) -> list[Sector]:
+    """All (L, nup <= ndn) sectors of L = 4, 6, 8 with 2 <= dimension <= limit."""
     out = []
-    for L in sizes:
+    for L in (4, 6, 8):
         for nup in range(L + 1):
             for ndn in range(nup, L + 1):
                 if 2 <= comb(L, nup) * comb(L, ndn) <= limit:
@@ -214,17 +214,17 @@ def sectors_up_to(limit: int, sizes=(4, 6, 8)) -> list[Sector]:
     return out
 
 
-def check_lanczos_vs_dense(limit: int = 4096) -> CheckResult:
+def check_lanczos_vs_dense() -> CheckResult:
     def run():
         worst_e = 0.0
         worst_overlap = 0.0
         checked = 0
-        for sector in sectors_up_to(limit):
+        for sector in sectors_up_to(DENSE_LIMIT):
             params = ModelParams(L=sector.L, U=1.5, V=-0.7)
             basis = enumerate_sector(sector)
             H = build_real_hamiltonian(params, basis)
-            dense = dense_ground(H, n_low=2)
-            lanc = lanczos_ground(H, n_low=2, tol=1e-12, max_iter=4000, seed=3)
+            dense = dense_ground(H)
+            lanc = lanczos_ground(H, tol=1e-12, max_iter=4000, seed=3)
             worst_e = max(worst_e, abs(dense.energy - lanc.energy))
             if dense.gap > 1e-6:
                 overlap = abs(np.vdot(lanc.amplitudes, dense.amplitudes))
@@ -252,20 +252,15 @@ ALL_CHECKS = (
 )
 
 
-def run_validation(stream=None) -> list[CheckResult]:
-    import sys
-
-    stream = stream or sys.stdout
+def run_validation() -> list[CheckResult]:
+    """Run every check, printing one PASS/FAIL line each and a summary to stdout."""
     results = []
     for factory in ALL_CHECKS:
         result = factory()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name} ({result.seconds:.1f}s): {result.detail}", file=stream)
+        print(f"{status} {result.name} ({result.seconds:.1f}s): {result.detail}")
     failed = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)
-    print(
-        f"{len(results) - len(failed)}/{len(results)} checks passed in {total:.1f}s",
-        file=stream,
-    )
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed in {total:.1f}s")
     return results

@@ -15,6 +15,10 @@ by mode, each crossed mode's parity is taken over the whole
 configuration, and each target is found by binary search in the sorted
 basis.  A CSR summed from their output is the independent reference the
 species build has to equal byte for byte.
+
+``diagonal_energy`` moved from ``ehub.hamiltonian``, where only the
+tests used it; it reads one configuration site by site, against the
+library's per-sector doublon and neighbour-density counts.
 """
 
 from typing import Sequence
@@ -22,10 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from ehub.fock import (
+    DOWN,
     UP,
     BlockSpec,
     SectorBasis,
     block_quantum_numbers_arrays,
+    mode_index,
     popcount_array,
     split_configs,
 )
@@ -116,6 +122,17 @@ def block_quantum_numbers(block_config: int, block: BlockSpec) -> tuple[int, int
             n += 1
             sz2 += 1 if m % 2 == UP else -1
     return n, sz2
+
+
+def diagonal_energy(config: int, params) -> float:
+    """Interaction energy U*(doublons) + V*sum_j n_j n_{j+1} of one configuration
+    on the ring of ``params.L`` sites."""
+    L = params.L
+    occ = [(config >> mode_index(j, UP) & 1, config >> mode_index(j, DOWN) & 1) for j in range(L)]
+    doublons = sum(up & dn for up, dn in occ)
+    n = [up + dn for up, dn in occ]
+    bonds = sum(n[j] * n[(j + 1) % L] for j in range(L))
+    return params.U * float(doublons) + params.V * float(bonds)
 
 
 def hermiticity_defect(H) -> float:

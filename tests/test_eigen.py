@@ -26,14 +26,22 @@ def test_dense_trivial_cases():
     np.testing.assert_allclose(np.abs(r.amplitudes), [1.0])
     assert r.gap == np.inf and not r.degenerate
 
-    r = dense_ground(_wrap(np.diag([0.0, 1.0, 2.0])), n_low=2)
+    r = dense_ground(_wrap(np.diag([0.0, 1.0, 2.0])))
     np.testing.assert_allclose(r.energies, [0.0, 1.0], atol=1e-14)
     assert r.gap == pytest.approx(1.0)
 
 
 def test_dense_limit_guard():
+    basis = enumerate_sector(Sector.half_filled(8))
+    H = build_real_hamiltonian(ModelParams(L=8, U=0.0, V=0.0), basis)
+    assert H.dimension == 4900
     with pytest.raises(ValueError, match="4096"):
-        ground_state(ModelParams(L=12, U=0.0, V=0.0), method="dense")
+        dense_ground(H)
+
+
+def test_ground_state_dispatches_on_dense_limit():
+    assert ground_state(ModelParams(L=6, U=1.0, V=0.5)).method == "dense"  # dim 400
+    assert ground_state(ModelParams(L=8, U=1.0, V=0.5)).method == "lanczos"  # dim 4900
 
 
 def test_ground_state_L4_free():
@@ -59,8 +67,8 @@ def test_lanczos_matches_dense_on_random_matrix():
     mat = sparse.random(n, n, density=0.03, random_state=rng, format="csr")
     mat = (mat + mat.T) * 0.5 + sparse.diags(rng.standard_normal(n))
     H = SparseHamiltonian(matrix=mat.tocsr())
-    d = dense_ground(H, n_low=2)
-    l = lanczos_ground(H, n_low=2, tol=1e-12, max_iter=600, seed=5)
+    d = dense_ground(H)
+    l = lanczos_ground(H, tol=1e-12, max_iter=600, seed=5)
     assert l.energy == pytest.approx(d.energy, abs=1e-9)
     if d.gap > 1e-6:
         assert abs(np.vdot(l.amplitudes, d.amplitudes)) >= 1.0 - 1e-8
@@ -74,8 +82,8 @@ def test_lanczos_matches_dense_on_model_sectors():
     ]:
         basis = enumerate_sector(sector)
         H = build_real_hamiltonian(ModelParams(L=sector.L, U=U, V=V), basis)
-        d = dense_ground(H, n_low=2)
-        l = lanczos_ground(H, n_low=2, tol=1e-12, max_iter=2000, seed=1)
+        d = dense_ground(H)
+        l = lanczos_ground(H, tol=1e-12, max_iter=2000, seed=1)
         assert l.energy == pytest.approx(d.energy, abs=1e-9)
         if d.gap > 1e-6:
             assert abs(np.vdot(l.amplitudes, d.amplitudes)) >= 1.0 - 1e-8
@@ -86,7 +94,7 @@ def test_zero_hopping_limit_ground_is_min_diagonal():
     # vector sees one copy of the exactly degenerate classical minimum
     basis = enumerate_sector(Sector.half_filled(6))
     H = build_real_hamiltonian(ModelParams(L=6, U=3.0, V=-2.0, t=1e-12), basis)
-    r = lanczos_ground(H, n_low=2, tol=1e-10, max_iter=1000, seed=2)
+    r = lanczos_ground(H, tol=1e-10, max_iter=1000, seed=2)
     assert r.energy == pytest.approx(float(H.matrix.diagonal().min()), abs=1e-9)
     assert r.residual <= 1e-8
 
@@ -146,8 +154,6 @@ def test_ground_state_sector_mismatch():
         ground_state(ModelParams(L=6, U=0.0, V=0.0), sector=Sector.half_filled(4))
     with pytest.raises(ValueError):
         ground_state(ModelParams(L=4, U=0.0, V=0.0), space="fourier")
-    with pytest.raises(ValueError):
-        ground_state(ModelParams(L=4, U=0.0, V=0.0), method="qr")
 
 
 @pytest.mark.parametrize("kwargs, word", [

@@ -18,6 +18,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -71,11 +74,7 @@ def _read(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(handle))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name, tmp_path, capsys):
-    out = tmp_path / name
-    assert main(CASES[name] + ["--out", str(out)]) == 0
-    capsys.readouterr()
+def _assert_matches_golden(name: str, out: Path) -> None:
     want = _read(GOLDEN / name)
     got = _read(out)
     assert len(got) == len(want)
@@ -91,6 +90,28 @@ def test_matches_golden(name, tmp_path, capsys):
             else:
                 ok = within_last_digit(g[key], w[key])
             assert ok, f"{where}: {key} {g[key]} vs golden {w[key]}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    _assert_matches_golden(name, out)
+
+
+def test_sweep_golden_with_one_blas_thread(tmp_path):
+    """At U = V = 0 the largest amplitudes of sweep_L6.csv tie in exact
+    arithmetic; the ``dominant`` label must not follow the rounding that
+    the BLAS thread count picks."""
+    name = "sweep_L6.csv"
+    out = tmp_path / name
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "ehub.cli", *CASES[name], "--out", str(out)]
+    subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=600)
+    _assert_matches_golden(name, out)
 
 
 @pytest.mark.parametrize("got, want, ok", [

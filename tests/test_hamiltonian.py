@@ -12,14 +12,13 @@ from ehub.hamiltonian import (
     _hopping_matrix,
     boundary_for,
     build_real_hamiltonian,
-    diagonal_energy,
     double_occupancy_counts,
     neighbor_density_products,
     one_body_matrix,
     real_terms,
 )
 from ehub.momentum import _density_hops, allowed_momenta
-from oracles import apply_operator_string, hermiticity_defect
+from oracles import apply_operator_string, diagonal_energy, hermiticity_defect
 
 # (U, V, t): zero couplings, U = 2V and U = -2V, where terms cancel exactly on some entries
 COUPLINGS = (

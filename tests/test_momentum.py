@@ -132,13 +132,6 @@ def test_momentum_pair_block_snapping():
         momentum_pair_block(grid, 0.3)  # 0.3 rad is far from every grid point
 
 
-def test_grid_consistency_check():
-    basis = enumerate_sector(Sector.half_filled(4))
-    grid10 = allowed_momenta(10, "periodic")
-    with pytest.raises(ValueError):
-        build_momentum_hamiltonian(ModelParams(L=4, U=0.0, V=0.0), basis, grid=grid10)
-
-
 @pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
 @pytest.mark.parametrize("L", [4, 6])
 def test_build_equals_dense_sum(L, bc):

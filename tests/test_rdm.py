@@ -1,7 +1,6 @@
 """Reduced density matrices, entropies, and the single-site fast path."""
 
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ from ehub.fock import BlockSpec, Sector, SectorBasis, enumerate_sector, mode_ind
 from ehub.hamiltonian import ModelParams
 from ehub.momentum import allowed_momenta, momentum_pair_block
 from ehub.rdm import (
+    PLAN_CACHE_SIZE,
     LocalWeights,
     ReducedDensityMatrix,
-    _PlanCache,
     dominant_config,
     local_entanglement,
     local_weights,
@@ -183,6 +182,16 @@ def test_dominant_config_and_tie_break():
     assert dominant_config(amps, basis) == int(basis.configs[3])
 
 
+def test_dominant_config_counts_a_one_ulp_difference_as_a_tie():
+    basis = enumerate_sector(Sector.half_filled(4))
+    amps = np.zeros(len(basis))
+    amps[3] = 0.5
+    amps[11] = -np.nextafter(0.5, 1.0)  # larger by one ulp, at a higher bit value
+    assert dominant_config(amps, basis) == int(basis.configs[3])
+    amps[11] = -0.5 * (1.0 + 1e-9)
+    assert dominant_config(amps, basis) == int(basis.configs[11])
+
+
 def test_degenerate_flag_propagates_to_rdm():
     basis = enumerate_sector(Sector.half_filled(4))
 
@@ -274,50 +283,25 @@ def test_plan_arrays_are_read_only():
             array[0] = 0
 
 
-def test_plan_cache_stays_within_its_byte_bound():
+def test_plan_cache_evicts_the_least_recently_used_plan():
     basis = enumerate_sector(Sector.half_filled(6))
-    blocks = [BlockSpec.contiguous_sites(l) for l in (1, 2, 3)]
-    sizes = [trace_plan(basis, b).nbytes for b in blocks]
-    cache = _PlanCache(max_bytes=sizes[0] + sizes[2])  # holds blocks 0 and 2, not all three
-    first, second = (cache.get(basis, b) for b in blocks[:2])
-    assert cache.get(basis, blocks[0]) is first  # hit; blocks[1] is now least recent
-    cache.get(basis, blocks[2])
-    held = cache._plans.values()
-    assert sum(p.nbytes for p in held) <= cache.max_bytes
-    assert cache.get(basis, blocks[0]) is first
-    assert cache.get(basis, blocks[1]) is not second
-    # a plan larger than the whole bound is used but never held
-    tiny = _PlanCache(max_bytes=1)
-    assert tiny.get(basis, blocks[0]) is not tiny.get(basis, blocks[0])
-    assert not tiny._plans
+    blocks = [BlockSpec.contiguous_sites(l, start=s, L=6) for l in (1, 2, 3) for s in range(6)]
+    plans = [trace_plan(basis, b) for b in blocks[:PLAN_CACHE_SIZE]]
+    assert trace_plan(basis, blocks[0]) is plans[0]  # a hit; blocks[1] is now least recent
+    trace_plan(basis, blocks[PLAN_CACHE_SIZE])
+    assert trace_plan(basis, blocks[0]) is plans[0]
+    assert trace_plan(basis, blocks[1]) is not plans[1]
 
 
-def test_plan_cache_under_racing_threads_builds_each_plan_once():
+def test_clearing_the_ehub_caches_empties_the_plan_cache():
+    """Emptying every ``cache_clear`` of the ehub modules, as a cold-start
+    benchmark does between set-ups, leaves no plan behind."""
     basis = enumerate_sector(Sector.half_filled(6))
-    blocks = [BlockSpec.contiguous_sites(l, start=s, L=6) for l in (1, 2, 3) for s in (0, 2)]
-    cache = _PlanCache(max_bytes=1 << 30)
-    seen = [[] for _ in range(8)]
-
-    def work(out):
-        for _ in range(20):
-            for block in blocks:
-                out.append((block.modes, id(cache.get(basis, block))))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(out,)) for out in seen]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    ids = {}
-    for out in seen:
-        assert len(out) == 20 * len(blocks)
-        for modes, plan_id in out:
-            ids.setdefault(modes, set()).add(plan_id)
-    assert all(len(plan_ids) == 1 for plan_ids in ids.values())
-    assert len(cache._plans) == len(blocks)
+    block = BlockSpec.contiguous_sites(2)
+    plan = trace_plan(basis, block)
+    for name, module in list(sys.modules.items()):
+        if name == "ehub" or name.startswith("ehub."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    assert trace_plan(basis, block) is not plan
