@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigen import ConvergenceError, ground_state
 from .fock import Sector, enumerate_sector
-from .hamiltonian import BC_CHOICES, ModelParams
+from .hamiltonian import BC_CHOICES, ModelParams, check_site_count
 from .momentum import allowed_momenta, momentum_pair_block
 from .rdm import local_entanglement, local_weights
 from .sweep import (
@@ -52,6 +52,13 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in raw.split(","))
 
 
+def _site_counts(raw: str) -> tuple[int, ...]:
+    counts = _int_list(raw)
+    for L in counts:
+        check_site_count(L)
+    return counts
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not isfinite(value):
@@ -70,7 +77,7 @@ def _choice(*allowed: str) -> Callable[[str], str]:
 
 _FLAGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
     # name -> (parser, default or None, help)
-    "L": (_int_list, None, "site count (sizescan accepts a comma list)"),
+    "L": (_site_counts, None, "site count (sizescan accepts a comma list)"),
     "U": (_finite, None, "on-site coupling"),
     "V": (_finite, None, "nearest-neighbor coupling"),
     "l": (_int_list, None, "block size(s), comma separated"),

@@ -1,18 +1,26 @@
 """Lowest eigenpairs of sector Hamiltonians, with convergence diagnostics.
 
 Small problems (dimension <= 4096) go through a dense Hermitian
-eigendecomposition.  Larger ones use Lanczos with full
-reorthogonalization: the stored basis is one 2-D array, projected out
-64 rows at a time, twice when the first pass cancels heavily (Daniel,
-Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).  The loop is
-real-only and calls LAPACK's tridiagonal bisection and inverse
-iteration (dstebz, dstein) directly.  It stops on the lowest Ritz value
-alone; the second one, which gives the gap, is tracked but not
-converged.  The start vector comes from a seeded linear congruential
-stream, so runs are reproducible bit for bit for one BLAS build at one
-BLAS thread count; the thread count can move the last printed digit
-(the reorthogonalization products are BLAS calls, whose summation order
-can depend on it).
+eigendecomposition.  Larger ones use Lanczos, on one of two paths
+chosen by memory.  While min(max_iter, dim) vectors fit in
+``_LANCZOS_MEMORY_BUDGET`` (dimension <= 187,500 at max_iter 2000, so
+every half-filled sector up to L = 10) the loop keeps every vector and
+reorthogonalizes fully: the stored basis is one 2-D array, projected
+out 64 rows at a time, twice when the first pass cancels heavily
+(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).  Above
+that (the half-filled L = 12 sector, dimension 853,776, where the basis
+would take 6.8 MB per iteration) a two-pass solve holds about five
+vectors: pass 1 runs the three-term recurrence until the lowest Ritz
+value settles, pass 2 replays it from the same start vector to sum the
+eigenvector (Cullum & Willoughby, Lanczos Algorithms for Large
+Symmetric Eigenvalue Computations, 1985).  Both are real-only, call
+LAPACK's tridiagonal bisection and inverse iteration (dstebz, dstein)
+directly and stop on the lowest Ritz value alone; the second one, which
+gives the gap, is tracked but not converged.  The start vector comes
+from a seeded linear congruential stream, so runs are reproducible bit
+for bit for one BLAS build at one BLAS thread count; the thread count
+can move the last printed digit (the reorthogonalization products and
+dot products are BLAS calls, whose summation order can depend on it).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
 DENSE_LIMIT = 4096
 DEGENERACY_GAP = 1e-8
 _N_TRACK = 2  # levels tracked: the ground level and the next, for the gap
-_LANCZOS_MEMORY_BUDGET = 3_000_000_000  # bytes of stored basis vectors
+_LANCZOS_MEMORY_BUDGET = 3_000_000_000  # bytes of stored basis vectors; two passes above
 _BLOCK_ROWS = 64  # stored vectors per projection and combination product
 
 
@@ -137,7 +145,9 @@ def lanczos_ground(
     max_iter: int = 2000,
     seed: int = 1,
 ) -> GroundStateResult:
-    """Lanczos with full reorthogonalization against all stored vectors.
+    """Lanczos with full reorthogonalization against all stored vectors,
+    or in two passes without a stored basis when that would not fit in
+    ``_LANCZOS_MEMORY_BUDGET``.
 
     Converged when the change of the lowest Ritz value between
     successive iterations drops below ``tol`` and the residual estimate
@@ -151,9 +161,10 @@ def lanczos_ground(
         raise ValueError("Lanczos needs dimension >= 2")
     if H.dtype.kind == "c":
         raise TypeError(f"lanczos_ground takes a real matrix, got dtype {H.dtype}")
-    budget = max(int(_LANCZOS_MEMORY_BUDGET // (dim * 8)), 16)
-    n_iter = min(max_iter, dim, budget)
+    n_iter = min(max_iter, dim)
     n_track = min(_N_TRACK, dim)
+    if n_iter * dim * 8 > _LANCZOS_MEMORY_BUDGET:
+        return _two_pass_ground(H, tol, n_iter, seed, n_track)
 
     # rows are touched only as they are written, so unused ones cost no memory
     basis = np.empty((n_iter, dim))
@@ -203,6 +214,86 @@ def lanczos_ground(
     x = np.zeros(dim)
     for i in range(0, iterations, _BLOCK_ROWS):
         x += coeffs[i : i + _BLOCK_ROWS] @ stored[i : i + _BLOCK_ROWS]
+    nrm = np.linalg.norm(x)
+    if nrm > 0:
+        x = x / nrm
+    residual = float(np.linalg.norm(H.matvec(x) - theta[0] * x))
+    if not (converged or exhausted):
+        raise ConvergenceError(
+            f"Lanczos did not converge in {iterations} iterations "
+            f"(best E0={theta[0]:.12g}, residual={residual:.3e})",
+            best_energy=float(theta[0]),
+            residual=residual,
+            iterations=iterations,
+        )
+    return _result(theta, x, residual, "lanczos", iterations)
+
+
+def _two_pass_ground(
+    H: SparseHamiltonian, tol: float, n_iter: int, seed: int, n_track: int
+) -> GroundStateResult:
+    """Lanczos without a stored basis, for sectors whose basis would not fit.
+
+    Pass 1 runs the three-term recurrence w = H v - beta v_prev - alpha v
+    (alpha taken after the beta term is removed, Paige's order) and stops
+    by the stored loop's rule.  Pass 2 replays it from the same start
+    vector with the kept alpha and beta, which regenerates every vector
+    bit for bit, and sums x = sum_k y_k v_k.  The vectors are not
+    reorthogonalized; the stop comes as the lowest Ritz value settles,
+    before lost orthogonality can grow ghost copies of it.
+    """
+    dim = H.dimension
+    alpha = np.empty(n_iter)
+    beta = np.empty(n_iter)
+    scale = 1.0
+    prev_low = None
+    converged = False
+    exhausted = False
+
+    v_prev = None
+    v = _lcg_start_vector(dim, seed, np.float64)
+    w = H.matvec(v)
+    for k in range(n_iter):
+        if k:
+            w -= beta[k - 1] * v_prev
+        a = float(v.dot(w))
+        w -= a * v
+        alpha[k] = a
+        b = sqrt(w.dot(w))
+        if not (isfinite(a) and isfinite(b)):
+            raise ValueError(f"non-finite Lanczos coefficient at iteration {k + 1}")
+        scale = max(scale, abs(a), b)
+
+        low = _ritz_values(alpha[: k + 1], beta[:k], n_track)[0]
+        if prev_low is not None and abs(low - prev_low) < tol:
+            _, y = _ritz_pairs(alpha[: k + 1], beta[:k], 1)
+            if b * abs(float(y[-1, 0])) < 10.0 * tol:
+                converged = True
+        prev_low = low
+        if b <= 1e-13 * max(1.0, scale):
+            exhausted = True  # Krylov space is an exact invariant subspace
+        if converged or exhausted:
+            break
+        beta[k] = b
+        w /= b
+        v_prev, v = v, w
+        w = H.matvec(v)
+
+    iterations = k + 1
+    theta, y = _ritz_pairs(alpha[:iterations], beta[: iterations - 1], n_track)
+    coeffs = y[:, 0]
+    v_prev = None
+    v = _lcg_start_vector(dim, seed, np.float64)
+    x = coeffs[0] * v
+    for k in range(iterations - 1):
+        w = H.matvec(v)
+        if k:
+            w -= beta[k - 1] * v_prev
+        w -= alpha[k] * v
+        w /= beta[k]
+        v_prev, v = v, w
+        x += coeffs[k + 1] * v
+
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x = x / nrm

@@ -46,6 +46,16 @@ from .fock import (
 )
 
 BC_CHOICES = ("auto", "periodic", "antiperiodic")
+MAX_L = 12  # at L = 14 (dim 11.78M) the CSR Hamiltonian alone would take several GB
+
+
+def check_site_count(L: int) -> None:
+    """Refuse a chain this code cannot build: odd, shorter than 4 or longer than MAX_L."""
+    if L % 2 != 0 or not 4 <= L <= MAX_L:
+        raise ValueError(
+            f"L must be even and in [4, {MAX_L}], got {L} "
+            f"(beyond {MAX_L} sites the CSR Hamiltonian build alone needs several GB)"
+        )
 
 
 def boundary_for(L: int) -> str:
@@ -66,8 +76,7 @@ class ModelParams:
     bc: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.L % 2 != 0 or not 4 <= self.L <= 14:
-            raise ValueError(f"L must be even and in [4, 14], got {self.L}")
+        check_site_count(self.L)
         for name in ("U", "V", "t"):
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -231,9 +240,7 @@ def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
     """
     tables = basis.species
     dim = len(basis)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    expansions = []  # per hop, the small arrays its COO entries expand from
     for dst, src, coeff in hops:
         spin = src % 2
         if dst % 2 != spin:
@@ -247,14 +254,21 @@ def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
         between = np.int64(((1 << hi) - 1) & ~((1 << (lo + 1)) - 1))
         word_sign = 1.0 - 2.0 * (popcount_array(words[movable] & between) & 1)
         other_sign = 1.0 - 2.0 * (popcount_array(other & between) & 1)
-        rows.append(rank[moved].ravel())
-        cols.append(rank[movable].ravel())
-        vals.append(coeff * np.multiply.outer(word_sign, other_sign).ravel())
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    out = mat.tocsr()
+        expansions.append((rank, moved, movable, coeff, word_sign, other_sign))
+    # the COO arrays are sized up front and filled in place, so no per-hop
+    # copy or concatenation lives beside them, and they go once the CSR is built
+    size = sum(movable.size * other_sign.size for _, _, movable, _, _, other_sign in expansions)
+    rows = np.empty(size, dtype=tables.rank.dtype)
+    cols = np.empty(size, dtype=tables.rank.dtype)
+    vals = np.empty(size)
+    end = 0
+    for rank, moved, movable, coeff, word_sign, other_sign in expansions:
+        start, end = end, end + movable.size * other_sign.size
+        rows[start:end] = rank[moved].ravel()
+        cols[start:end] = rank[movable].ravel()
+        vals[start:end] = coeff * np.multiply.outer(word_sign, other_sign).ravel()
+    out = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    del rows, cols, vals
     out.sum_duplicates()
     out.sort_indices()
     return out

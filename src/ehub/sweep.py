@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import SolverOptions, ground_state
 from .fock import BlockSpec, Sector, enumerate_sector
-from .hamiltonian import ModelParams
+from .hamiltonian import ModelParams, check_site_count
 from .momentum import allowed_momenta, momentum_pair_block, total_momentum
 from .rdm import dominant_config, reduced_density_matrix, von_neumann_entropy
 from .reference import classify_config
@@ -56,6 +56,7 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        check_site_count(self.L)
         if not self.block_sizes:
             raise ValueError("at least one block size is required")
         for l in self.block_sizes:

@@ -304,6 +304,24 @@ def test_non_finite_input_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("ground", "--L", "16", "--U", "0", "--V", "0"),
+    ("entropy", "--L", "14", "--U", "0", "--V", "0", "--l", "1"),
+    ("local", "--L", "14", "--U", "0", "--V", "0"),
+    ("sweep", "--L", "16", "--l", "2", "--grid-u", "0:0:1", "--grid-v", "0:0:1"),
+    ("scaling", "--L", "14", "--U", "0", "--V", "0"),
+    ("sizescan", "--l", "2", "--L", "6,16", "--axis", "U", "--grid-u", "0:0:1", "--V", "0"),
+    ("derivative", "--L", "14", "--l", "2", "--U", "0", "--grid-v", "0:0:1"),
+    ("momentum", "--L", "14", "--k", "0", "--U", "0", "--grid-v", "0:0:1"),
+])
+def test_site_count_above_the_cap_is_refused_before_any_solve(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "[4, 12]" in err
+    assert "[point]" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ("--L", "4", "--U", "0", "--V", "0"),  # the default --l is 1,2
     ("--L", "8", "--U", "0", "--V", "0", "--l", "1,2"),
     ("--L", "8", "--U", "0", "--V", "0", "--l", "2,1,2"),

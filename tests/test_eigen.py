@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import ehub.eigen
 from ehub.eigen import (
     ConvergenceError,
     SolverOptions,
@@ -12,8 +13,9 @@ from ehub.eigen import (
     lanczos_ground,
     _lcg_start_vector,
 )
-from ehub.fock import Sector, enumerate_sector
+from ehub.fock import BlockSpec, Sector, enumerate_sector
 from ehub.hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
+from ehub.rdm import reduced_density_matrix, von_neumann_entropy
 
 
 def _wrap(dense_array) -> SparseHamiltonian:
@@ -168,3 +170,54 @@ def test_solver_options_out_of_range_raise_value_error(kwargs, word):
     H = build_real_hamiltonian(ModelParams(L=6, U=1.0, V=0.0), basis)
     with pytest.raises(ValueError, match=word):  # before any product, not from inside the loop
         lanczos_ground(H, **kwargs)
+
+
+def test_two_pass_path_runs_only_above_the_memory_budget(monkeypatch):
+    called = []
+    monkeypatch.setattr(ehub.eigen, "_two_pass_ground", lambda *args: called.append(args))
+    basis = enumerate_sector(Sector.half_filled(8))
+    H = build_real_hamiltonian(ModelParams(L=8, U=1.0, V=0.5), basis)
+    stored_bytes = 300 * H.dimension * 8
+    monkeypatch.setattr(ehub.eigen, "_LANCZOS_MEMORY_BUDGET", stored_bytes)
+    assert lanczos_ground(H, max_iter=300).method == "lanczos" and not called
+    lanczos_ground(H, max_iter=301)
+    assert len(called) == 1
+
+
+def _entropies(result, basis):
+    return np.array([
+        von_neumann_entropy(reduced_density_matrix(result, basis, BlockSpec.contiguous_sites(l)))
+        for l in range(1, 6)
+    ])
+
+
+@pytest.mark.parametrize("U, V", [(-2.0, -3.0), (-4.0, -2.0), (-2.0, -1.0), (0.0, 0.0),
+                                  (4.0, 0.5), (0.0, 2.0)])
+def test_two_pass_matches_stored_basis_at_L10(monkeypatch, U, V):
+    params = ModelParams(L=10, U=U, V=V)
+    basis = enumerate_sector(Sector.half_filled(10))
+    stored = ground_state(params)
+    monkeypatch.setattr(ehub.eigen, "_LANCZOS_MEMORY_BUDGET", 0)
+    two_pass = ground_state(params)
+    assert two_pass.method == "lanczos"
+    assert abs(two_pass.energy - stored.energy) <= 1e-10
+    assert abs(two_pass.gap - stored.gap) <= 1e-9
+    assert two_pass.degenerate == stored.degenerate
+    assert abs(two_pass.iterations - stored.iterations) <= 2
+    assert two_pass.residual <= 1e-8
+    assert np.linalg.norm(two_pass.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    # the phase-separated points have gaps near 1e-6, which loosens their vectors
+    entropy_tol = 1e-9 if stored.gap > 1e-4 else 1e-8
+    assert np.abs(_entropies(two_pass, basis) - _entropies(stored, basis)).max() <= entropy_tol
+
+
+def test_capped_two_pass_run_carries_its_best_estimate(monkeypatch):
+    basis = enumerate_sector(Sector.half_filled(6))
+    H = build_real_hamiltonian(ModelParams(L=6, U=-1.0, V=0.5), basis)
+    monkeypatch.setattr(ehub.eigen, "_LANCZOS_MEMORY_BUDGET", 0)
+    with pytest.raises(ConvergenceError) as info:
+        lanczos_ground(H, tol=1e-14, max_iter=4, seed=1)
+    err = info.value
+    assert err.iterations == 4
+    assert np.isfinite(err.best_energy) and err.best_energy > dense_ground(H).energy
+    assert err.residual > 0

@@ -1,11 +1,14 @@
 """Real-space Hamiltonian construction checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
 from ehub.fock import Sector, enumerate_sector, mode_index
 from ehub.hamiltonian import (
+    MAX_L,
     ModelParams,
     _cached_real_terms,
     _hopping_hops,
@@ -50,8 +53,10 @@ def test_boundary_rule():
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(L=7, U=0.0, V=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(L=16, U=0.0, V=0.0)
+    for L in (2, 14, 16):
+        with pytest.raises(ValueError, match="several GB"):
+            ModelParams(L=L, U=0.0, V=0.0)
+    assert ModelParams(L=MAX_L, U=0.0, V=0.0).L == 12
     with pytest.raises(ValueError):
         ModelParams(L=8, U=0.0, V=0.0, t=0.0)
     with pytest.raises(ValueError):
@@ -290,3 +295,19 @@ def test_species_tables_rank_every_configuration():
         configs = up[:, None] | dn[None, :]
         np.testing.assert_array_equal(basis.configs[tables.rank], configs)
         assert sorted(tables.rank.ravel()) == list(range(len(basis)))
+
+
+def test_hop_build_holds_no_duplicate_copies():
+    # the COO arrays and the CSR must be all the hop build holds at once
+    # (2.3x the CSR's bytes); a per-hop list or concatenated copy beside
+    # them reads 3.6x, and at L = 12 would set the set-up's peak memory
+    basis = enumerate_sector(Sector.half_filled(10))
+    basis.species  # built and cached outside the measured region
+    tracemalloc.start()
+    try:
+        out = _hopping_matrix(basis, "periodic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result_bytes = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
+    assert peak <= 2.5 * result_bytes

@@ -105,6 +105,9 @@ def test_sweep_spec_validation():
         SweepSpec(L=4, block_sizes=(4,), u_values=(0.0,), v_values=(0.0,))
     with pytest.raises(ValueError):
         SweepSpec(L=4, block_sizes=(1,), u_values=(0.0,), v_values=(0.0,), workers=0)
+    for L in (7, 14):
+        with pytest.raises(ValueError, match="several GB"):
+            SweepSpec(L=L, block_sizes=(1,), u_values=(0.0,), v_values=(0.0,))
 
 
 def test_derivative_scan_constant_for_linear_series():
