@@ -2,37 +2,50 @@
 
 Small problems (dimension <= 4096) go through a dense Hermitian
 eigendecomposition.  Larger ones use Lanczos, on one of two paths
-chosen by memory.  While min(max_iter, dim) vectors fit in
-``_LANCZOS_MEMORY_BUDGET`` (dimension <= 187,500 at max_iter 2000, so
-every half-filled sector up to L = 10) the loop keeps every vector and
-reorthogonalizes fully: the stored basis is one 2-D array, projected
-out 64 rows at a time, twice when the first pass cancels heavily
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).  Above
-that (the half-filled L = 12 sector, dimension 853,776, where the basis
-would take 6.8 MB per iteration) a two-pass solve holds about five
+chosen by memory (``_stores_basis``).  While min(max_iter, dim) vectors
+fit in ``_LANCZOS_MEMORY_BUDGET`` (dimension <= 187,500 at max_iter
+2000, so every half-filled sector up to L = 10) the loop keeps every
+vector and reorthogonalizes fully: the stored basis is one 2-D array,
+projected out 64 rows at a time, twice when the first pass cancels
+heavily (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
+Above that (the half-filled L = 12 sector, dimension 853,776, where the
+basis would take 6.8 MB per iteration) a two-pass solve holds about five
 vectors: pass 1 runs the three-term recurrence until the lowest Ritz
 value settles, pass 2 replays it from the same start vector to sum the
 eigenvector (Cullum & Willoughby, Lanczos Algorithms for Large
-Symmetric Eigenvalue Computations, 1985).  Both are real-only, call
-LAPACK's tridiagonal bisection and inverse iteration (dstebz, dstein)
-directly and stop on the lowest Ritz value alone; the second one, which
-gives the gap, is tracked but not converged.  The start vector comes
-from a seeded linear congruential stream, so runs are reproducible bit
-for bit for one BLAS build at one BLAS thread count; the thread count
-can move the last printed digit (the reorthogonalization products and
-dot products are BLAS calls, whose summation order can depend on it).
+Symmetric Eigenvalue Computations, 1985).  The solvers take any
+``Operator``; ``ground_state`` gives the two-pass path in real space the
+product-form Hamiltonian (``hamiltonian.SpeciesHamiltonian``), whose
+products read two 924 x 924 species matrices at L = 12 instead of a
+12M-nonzero CSR matrix, and maps the start vector into its frame and
+the eigenvector back once each.  Both Lanczos paths are real-only,
+call LAPACK's tridiagonal bisection and inverse iteration (dstebz,
+dstein) directly and stop on the lowest Ritz value alone; the second
+one, which gives the gap, is tracked but not converged.  The start
+vector comes from a seeded linear congruential stream, so runs are
+reproducible bit for bit for one BLAS build at one BLAS thread count;
+the thread count can move the last printed digit (the
+reorthogonalization products and dot products are BLAS calls, whose
+summation order can depend on it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite, sqrt
+from typing import Protocol
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .fock import Sector, enumerate_sector
-from .hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
+from .hamiltonian import (
+    ModelParams,
+    SparseHamiltonian,
+    SpeciesHamiltonian,
+    build_real_hamiltonian,
+    build_species_hamiltonian,
+)
 
 DENSE_LIMIT = 4096
 DEGENERACY_GAP = 1e-8
@@ -60,6 +73,23 @@ class SolverOptions:
 
     def kwargs(self) -> dict:
         return {"tol": self.tol, "max_iter": self.max_iter, "seed": self.seed}
+
+
+class Operator(Protocol):
+    """What the Lanczos solvers need of a Hamiltonian: its size, its dtype and H x."""
+
+    @property
+    def dimension(self) -> int: ...
+
+    @property
+    def dtype(self) -> np.dtype: ...
+
+    def matvec(self, x: np.ndarray) -> np.ndarray: ...
+
+
+def _stores_basis(dim: int, max_iter: int) -> bool:
+    """True when min(max_iter, dim) Lanczos vectors fit in ``_LANCZOS_MEMORY_BUDGET``."""
+    return min(max_iter, dim) * dim * 8 <= _LANCZOS_MEMORY_BUDGET
 
 
 class ConvergenceError(RuntimeError):
@@ -140,7 +170,7 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> None:
 
 
 def lanczos_ground(
-    H: SparseHamiltonian,
+    H: Operator,
     tol: float = 1e-10,
     max_iter: int = 2000,
     seed: int = 1,
@@ -163,8 +193,8 @@ def lanczos_ground(
         raise TypeError(f"lanczos_ground takes a real matrix, got dtype {H.dtype}")
     n_iter = min(max_iter, dim)
     n_track = min(_N_TRACK, dim)
-    if n_iter * dim * 8 > _LANCZOS_MEMORY_BUDGET:
-        return _two_pass_ground(H, tol, n_iter, seed, n_track)
+    if not _stores_basis(dim, max_iter):
+        return _two_pass_ground(H, _lcg_start_vector(dim, seed, np.float64), tol, n_iter, n_track)
 
     # rows are touched only as they are written, so unused ones cost no memory
     basis = np.empty((n_iter, dim))
@@ -230,19 +260,19 @@ def lanczos_ground(
 
 
 def _two_pass_ground(
-    H: SparseHamiltonian, tol: float, n_iter: int, seed: int, n_track: int
+    H: Operator, start: np.ndarray, tol: float, n_iter: int, n_track: int
 ) -> GroundStateResult:
     """Lanczos without a stored basis, for sectors whose basis would not fit.
 
     Pass 1 runs the three-term recurrence w = H v - beta v_prev - alpha v
-    (alpha taken after the beta term is removed, Paige's order) and stops
-    by the stored loop's rule.  Pass 2 replays it from the same start
-    vector with the kept alpha and beta, which regenerates every vector
-    bit for bit, and sums x = sum_k y_k v_k.  The vectors are not
-    reorthogonalized; the stop comes as the lowest Ritz value settles,
-    before lost orthogonality can grow ghost copies of it.
+    from the unit vector ``start`` (alpha taken after the beta term is
+    removed, Paige's order) and stops by the stored loop's rule.  Pass 2
+    replays it from ``start`` with the kept alpha and beta, which
+    regenerates every vector bit for bit, and sums x = sum_k y_k v_k.
+    The vectors are not reorthogonalized; the stop comes as the lowest
+    Ritz value settles, before lost orthogonality can grow ghost copies
+    of it.
     """
-    dim = H.dimension
     alpha = np.empty(n_iter)
     beta = np.empty(n_iter)
     scale = 1.0
@@ -251,7 +281,7 @@ def _two_pass_ground(
     exhausted = False
 
     v_prev = None
-    v = _lcg_start_vector(dim, seed, np.float64)
+    v = start
     w = H.matvec(v)
     for k in range(n_iter):
         if k:
@@ -283,7 +313,7 @@ def _two_pass_ground(
     theta, y = _ritz_pairs(alpha[:iterations], beta[: iterations - 1], n_track)
     coeffs = y[:, 0]
     v_prev = None
-    v = _lcg_start_vector(dim, seed, np.float64)
+    v = start
     x = coeffs[0] * v
     for k in range(iterations - 1):
         w = H.matvec(v)
@@ -337,6 +367,22 @@ def _ritz_pairs(alpha, beta, n_track):
     return w[order], y[:, order]
 
 
+def _product_ground(
+    H: SpeciesHamiltonian, tol: float, max_iter: int, seed: int
+) -> GroundStateResult:
+    """The two-pass solve on the product-form Hamiltonian, in its frame.
+
+    The seeded start vector is mapped into product order and gauge once
+    and the eigenvector back once, so the result is in the sector basis
+    like that of every other path.
+    """
+    SolverOptions(tol=tol, max_iter=max_iter, seed=seed)  # raises ValueError out of range
+    dim = H.dimension
+    start = H.to_product(_lcg_start_vector(dim, seed, np.float64))
+    result = _two_pass_ground(H, start, tol, min(max_iter, dim), min(_N_TRACK, dim))
+    return replace(result, amplitudes=H.from_product(result.amplitudes))
+
+
 def ground_state(
     params: ModelParams,
     sector: Sector | None = None,
@@ -348,16 +394,22 @@ def ground_state(
     """Build the sector basis and Hamiltonian, then solve for the ground state.
 
     Dispatches to the dense solver for dimensions up to 4096 and to
-    Lanczos above that.  A degenerate result is still returned, only
-    flagged (block entropies of a degenerate ground state are not well
-    defined).
+    Lanczos above that.  A real-space sector whose Lanczos basis would
+    not fit in ``_LANCZOS_MEMORY_BUDGET`` is solved in two passes on the
+    product-form Hamiltonian (``hamiltonian.build_species_hamiltonian``),
+    so its CSR matrix is never built.  A degenerate result is still
+    returned, only flagged (block entropies of a degenerate ground state
+    are not well defined).
     """
     if sector is None:
         sector = Sector.half_filled(params.L)
     if params.L != sector.L:
         raise ValueError(f"parameter L={params.L} does not match sector L={sector.L}")
     basis = enumerate_sector(sector)
+    dim = len(basis)
     if space == "real":
+        if dim > DENSE_LIMIT and not _stores_basis(dim, max_iter):
+            return _product_ground(build_species_hamiltonian(params, basis), tol, max_iter, seed)
         H = build_real_hamiltonian(params, basis)
     elif space == "momentum":
         from .momentum import build_momentum_hamiltonian
@@ -366,7 +418,6 @@ def ground_state(
     else:
         raise ValueError(f"space must be 'real' or 'momentum', got {space!r}")
 
-    if H.dimension <= DENSE_LIMIT:
+    if dim <= DENSE_LIMIT:
         return dense_ground(H)
     return lanczos_ground(H, tol=tol, max_iter=max_iter, seed=seed)
-

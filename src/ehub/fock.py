@@ -19,7 +19,9 @@ word (the odd bits), and each pair of words is one configuration.
 ``SectorBasis.species`` holds both word lists sorted and the rank table
 from (up word, down word) to basis index, so an operator that moves one
 species is built from that species' C(L, n) words instead of from every
-configuration of the sector.
+configuration of the sector.  The raveled rank table is also the
+product order of ``hamiltonian.SpeciesHamiltonian``: position
+i * n_dn + j holds the state of up word i and down word j.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ pattern whose index arrays are read-only.  A (U, V) point computes only
 a data array on that pattern and shares the index arrays, so sweeping
 (U, V) at fixed L reuses every other part of the construction; the
 momentum build uses the same mechanism (``aligned_terms``).
+
+Sectors too large for the stored-basis Lanczos solve (``eigen``) are
+solved on the product form instead, which builds no sector-sized
+matrix: H = S (T_up (x) 1 + 1 (x) T_dn + D) S, with T_s the hopping of
+one species on its own words, D the diagonal and S a +-1 gauge
+(``SpeciesTerms``, ``build_species_hamiltonian``).  Its hopping comes
+from the per-hop code that ``one_body_matrix`` runs (``_hop_action``);
+the CSR terms above serve every other solve.
 """
 
 from __future__ import annotations
@@ -41,12 +49,15 @@ from .fock import (
     DOWN,
     UP,
     SectorBasis,
+    SpeciesTables,
     mode_index,
     popcount_array,
 )
 
 BC_CHOICES = ("auto", "periodic", "antiperiodic")
-MAX_L = 12  # at L = 14 (dim 11.78M) the CSR Hamiltonian alone would take several GB
+# No L = 14 point (dim 11.78M) has been measured; real space would solve
+# it on the product form, but its momentum-basis CSR build needs several GB.
+MAX_L = 12
 
 
 def check_site_count(L: int) -> None:
@@ -54,7 +65,8 @@ def check_site_count(L: int) -> None:
     if L % 2 != 0 or not 4 <= L <= MAX_L:
         raise ValueError(
             f"L must be even and in [4, {MAX_L}], got {L} "
-            f"(beyond {MAX_L} sites the CSR Hamiltonian build alone needs several GB)"
+            f"(beyond {MAX_L} sites no solve has been measured, and the "
+            f"momentum-basis CSR build alone needs several GB)"
         )
 
 
@@ -222,37 +234,50 @@ class RealTerms:
     diag_v: np.ndarray
 
 
+def _hop_action(tables: SpeciesTables, dst: int, src: int):
+    """c^dag_dst c_src on the words of its spin: (spin, movable, moved, word_sign, between).
+
+    ``movable`` indexes the words with src occupied and, src emptied, dst
+    free; ``moved`` indexes the words they become.  ``word_sign`` is the
+    word's own Jordan-Wigner parity, over the modes strictly between src
+    and dst (the bit mask ``between``); the other species' parity over
+    that range is the rest of the sign, and for src == dst the range is
+    empty.
+    """
+    spin = src % 2
+    if dst % 2 != spin:
+        raise ValueError(f"hop {src} -> {dst} changes the spin")
+    words = tables.words[spin]
+    src_bit, dst_bit = np.int64(1 << src), np.int64(1 << dst)
+    movable = np.flatnonzero((words & src_bit != 0) & ((words ^ src_bit) & dst_bit == 0))
+    moved = np.searchsorted(words, words[movable] ^ src_bit ^ dst_bit)
+    lo, hi = min(src, dst), max(src, dst)
+    between = np.int64(((1 << hi) - 1) & ~((1 << (lo + 1)) - 1))
+    word_sign = 1.0 - 2.0 * (popcount_array(words[movable] & between) & 1)
+    return spin, movable, moved, word_sign, between
+
+
 def one_body_matrix(basis: SectorBasis, hops) -> sparse.csr_matrix:
     """sum of coeff * c^dag_dst c_src over a sector basis, as canonical CSR.
 
     ``hops`` yields (dst_mode, src_mode, coeff) triples of one spin each;
     the matrix is real when every coefficient is.  A hop acts on the
-    words of its spin only (``SectorBasis.species``): it takes the words
-    with src occupied and, src emptied, dst free, and pairs each with
+    words of its spin only (``_hop_action``) and pairs each result with
     every word of the other spin through the rank table.  Its
-    Jordan-Wigner sign is the parity of the occupied modes strictly
-    between src and dst, which splits into the hopping word's parity and
-    the other word's parity over that range; for src == dst the range is
-    empty.  A hop gives each row at most one entry, so the COO-to-CSR
-    conversion lists each row's entries in hop order, whatever order a
-    hop yields its entries in: duplicates are summed in an order set by
-    ``hops`` alone.
+    Jordan-Wigner sign, the parity of the occupied modes strictly
+    between src and dst, is the hopping word's parity times the other
+    word's parity over that range.  A hop gives each row at most one
+    entry, so the COO-to-CSR conversion lists each row's entries in hop
+    order, whatever order a hop yields its entries in: duplicates are
+    summed in an order set by ``hops`` alone.
     """
     tables = basis.species
     dim = len(basis)
     expansions = []  # per hop, the small arrays its COO entries expand from
     for dst, src, coeff in hops:
-        spin = src % 2
-        if dst % 2 != spin:
-            raise ValueError(f"hop {src} -> {dst} changes the spin")
-        words, other = tables.words[spin], tables.words[1 - spin]
+        spin, movable, moved, word_sign, between = _hop_action(tables, dst, src)
+        other = tables.words[1 - spin]
         rank = tables.rank if spin == UP else tables.rank.T
-        src_bit, dst_bit = np.int64(1 << src), np.int64(1 << dst)
-        movable = np.flatnonzero((words & src_bit != 0) & ((words ^ src_bit) & dst_bit == 0))
-        moved = np.searchsorted(words, words[movable] ^ src_bit ^ dst_bit)
-        lo, hi = min(src, dst), max(src, dst)
-        between = np.int64(((1 << hi) - 1) & ~((1 << (lo + 1)) - 1))
-        word_sign = 1.0 - 2.0 * (popcount_array(words[movable] & between) & 1)
         other_sign = 1.0 - 2.0 * (popcount_array(other & between) & 1)
         expansions.append((rank, moved, movable, coeff, word_sign, other_sign))
     # the COO arrays are sized up front and filled in place, so no per-hop
@@ -318,3 +343,150 @@ def build_real_hamiltonian(params: ModelParams, basis: SectorBasis) -> SparseHam
     data = params.t * terms.hopping
     data[terms.pattern.diagonal] = params.U * terms.diag_u + params.V * terms.diag_v
     return terms.pattern.assemble(data)
+
+
+@dataclass(frozen=True, eq=False)
+class SpeciesTerms:
+    """Coupling-independent factors of the Hamiltonian in product form.
+
+    A sector vector in product order holds the state of up word i and
+    down word j at position i * n_dn + j, each state multiplied by its
+    gauge sign.  On such vectors
+    H = t (T_up (x) 1 + 1 (x) T_dn) + diag(U diag_u + V diag_v),
+    where ``hopping`` holds T_up and T_dn at t = 1, the hops of one spin
+    on that spin's words alone, signed by the hopping word's own parity.
+    The gauge sign of a state is the parity of its pairs of a down
+    electron on a site left of an up electron: the sign of reordering
+    its creation operators from site-major to up-block-first mode order,
+    which turns the other word's parity of a site-major hop into 1
+    (Lin, PRB 42, 6561 (1990)).  ``order[p]`` is the basis index of
+    product position p and ``gauge[p]`` its sign.
+    """
+
+    hopping: tuple[sparse.csr_matrix, sparse.csr_matrix]
+    order: np.ndarray
+    gauge: np.ndarray
+    diag_u: np.ndarray
+    diag_v: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SpeciesHamiltonian:
+    """The sector Hamiltonian acting on product-order, gauged vectors.
+
+    ``hopping`` holds t T_up and t T_dn and ``diagonal`` the interaction
+    energies, both as in ``SpeciesTerms``.  ``to_product`` and
+    ``from_product`` map a vector from the sector basis into that frame
+    and back; both only gather, scatter and flip signs, so they are exact.
+    """
+
+    hopping: tuple[sparse.csr_matrix, sparse.csr_matrix]
+    diagonal: np.ndarray
+    order: np.ndarray
+    gauge: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.diagonal.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.diagonal.dtype
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H x for a product-order vector x, by SciPy's CSR kernel for many vectors.
+
+        Viewed as an (n_up, n_dn) array, T_up acts on its columns and
+        T_dn on its rows; the rows are applied as columns of the
+        transposed array, whose result is added back transposed.
+        """
+        t_up, t_dn = self.hopping
+        n_up, n_dn = t_up.shape[0], t_dn.shape[0]
+        if x.shape != (n_up * n_dn,):  # the kernel reads x without a bounds check
+            raise ValueError(f"matvec takes a vector of length {n_up * n_dn}, got shape {x.shape}")
+        out = self.diagonal * x
+        _sparsetools.csr_matvecs(n_up, n_up, n_dn, t_up.indptr, t_up.indices, t_up.data, x, out)
+        x_t = np.ascontiguousarray(x.reshape(n_up, n_dn).T)
+        out_t = np.zeros((n_dn, n_up))
+        _sparsetools.csr_matvecs(n_dn, n_dn, n_up, t_dn.indptr, t_dn.indices, t_dn.data, x_t, out_t)
+        grid = out.reshape(n_up, n_dn)
+        grid += out_t.T
+        return out
+
+    def to_product(self, x: np.ndarray) -> np.ndarray:
+        """A sector-basis vector in product order and gauge."""
+        return self.gauge * x[self.order]
+
+    def from_product(self, y: np.ndarray) -> np.ndarray:
+        """A product-order, gauged vector back in the sector basis."""
+        out = np.empty_like(y)
+        out[self.order] = self.gauge * y
+        return out
+
+
+def _species_hopping(tables: SpeciesTables, hops) -> tuple[sparse.csr_matrix, ...]:
+    """T_up and T_dn as canonical CSR over each spin's words, from ``_hop_action``."""
+    entries = ([], [])
+    for dst, src, coeff in hops:
+        spin, movable, moved, word_sign, _ = _hop_action(tables, dst, src)
+        entries[spin].append((moved, movable, coeff * word_sign))
+    out = []
+    for spin in (UP, DOWN):
+        n = tables.words[spin].size
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries[spin]))
+        matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        matrix.sum_duplicates()
+        matrix.sort_indices()
+        out.append(matrix)
+    return tuple(out)
+
+
+def _gauge_signs(tables: SpeciesTables, L: int) -> np.ndarray:
+    """Per product position, (-1) ** (pairs of a down electron left of an up electron)."""
+    up, dn = tables.words
+    has_up = np.stack([(up >> mode_index(j, UP)) & 1 for j in range(L)], axis=1)
+    down_left = np.stack(
+        [popcount_array(dn & ((1 << mode_index(j, UP)) - 1)) for j in range(L)], axis=1
+    ).astype(np.int64)
+    pairs = has_up @ down_left.T
+    return (1 - 2 * (pairs & 1)).astype(np.int8).ravel()
+
+
+@lru_cache(maxsize=6)
+def _cached_species_terms(sector, bc: str) -> SpeciesTerms:
+    from .fock import enumerate_sector
+
+    tables = enumerate_sector(sector).species
+    up, dn = tables.words
+    configs = (up[:, None] | dn[None, :]).ravel()  # product order
+    terms = SpeciesTerms(
+        hopping=_species_hopping(tables, _hopping_hops(sector.L, bc)),
+        order=tables.rank.ravel(),
+        gauge=_gauge_signs(tables, sector.L),
+        diag_u=double_occupancy_counts(configs, sector.L).astype(np.float64),
+        diag_v=neighbor_density_products(configs, sector.L).astype(np.float64),
+    )
+    for array in (terms.gauge, terms.diag_u, terms.diag_v):
+        array.flags.writeable = False
+    return terms
+
+
+def species_terms(basis: SectorBasis, bc: str) -> SpeciesTerms:
+    if bc not in ("periodic", "antiperiodic"):
+        raise ValueError(f"bc must be resolved, got {bc!r}")
+    return _cached_species_terms(basis.sector, bc)
+
+
+def build_species_hamiltonian(params: ModelParams, basis: SectorBasis) -> SpeciesHamiltonian:
+    """The sector Hamiltonian in product form; no sector-sized matrix is built."""
+    if params.L != basis.sector.L:
+        raise ValueError(
+            f"parameter L={params.L} does not match basis L={basis.sector.L}"
+        )
+    terms = species_terms(basis, params.resolved_bc())
+    return SpeciesHamiltonian(
+        hopping=tuple(params.t * matrix for matrix in terms.hopping),
+        diagonal=params.U * terms.diag_u + params.V * terms.diag_v,
+        order=terms.order,
+        gauge=terms.gauge,
+    )

@@ -182,25 +182,34 @@ def _density_hops(grid: MomentumGrid, qm: int, spin: int) -> list[tuple[int, int
     ]
 
 
-def _sum_of_products(terms) -> sparse.csr_matrix:
-    """sum of coeff * a @ b over (coeff, a, b) as canonical CSR.
+def _add_product(total, coeff: float, a: sparse.csr_matrix, b: sparse.csr_matrix):
+    """total + coeff * a @ b, the product scaled in place; ``total`` None starts the sum."""
+    prod = a @ b
+    prod.data *= coeff
+    return prod if total is None else total + prod
 
-    Entries that cancel up to rounding are dropped: a cos(q) sum leaves
-    ~1e-17 residues where the exact element is zero, and keeping them
-    would store a denser pattern than the operator has.
+
+def _canonical(total: sparse.csr_matrix) -> sparse.csr_matrix:
+    """A summed term as canonical CSR, entries that cancel up to rounding dropped.
+
+    A cos(q) sum leaves ~1e-17 residues where the exact element is zero,
+    and keeping them would store a denser pattern than the operator has.
     """
-    out = None
-    for coeff, a, b in terms:
-        prod = coeff * (a @ b)
-        out = prod if out is None else out + prod
-    out.sum_duplicates()
-    out.data[np.abs(out.data) < 1e-12] = 0.0
-    out.eliminate_zeros()
-    return out
+    total.sum_duplicates()
+    total.data[np.abs(total.data) < 1e-12] = 0.0
+    total.eliminate_zeros()
+    return total
 
 
 def _interaction_terms(basis: SectorBasis, grid: MomentumGrid):
-    """The onsite and neighbor terms as CSR; the rho_q products are freed on return."""
+    """The onsite and neighbor terms as CSR, each summed over q in ``transfers`` order.
+
+    Both sums advance in one loop, because the terms of q read rho^s_q
+    and rho^s_{-q} alone: once the terms of q and of -q are summed, those
+    densities are dropped, and each rho_q = rho^up_q + rho^dn_q is formed
+    only for the product that reads it.  So the densities shrink as the
+    sums grow, instead of every density and rho_q living to the end.
+    """
     L = grid.L
     transfers = [grid.fold(2 * n) for n in range(L)]  # q = 2 pi n / L on either grid
     rho = {
@@ -208,14 +217,22 @@ def _interaction_terms(basis: SectorBasis, grid: MomentumGrid):
         for qm in transfers
         for s in (UP, DOWN)
     }
-    total = {qm: rho[qm, UP] + rho[qm, DOWN] for qm in transfers}
-    onsite = _sum_of_products(
-        (1.0 / L, rho[qm, UP], rho[grid.fold(-qm), DOWN]) for qm in transfers
-    )
-    neighbor = _sum_of_products(
-        (cos(pi * qm / L) / L, total[qm], total[grid.fold(-qm)]) for qm in transfers
-    )
-    return onsite, neighbor
+    onsite = neighbor = None
+    summed = set()
+    for qm in transfers:
+        mq = grid.fold(-qm)
+        onsite = _add_product(onsite, 1.0 / L, rho[qm, UP], rho[mq, DOWN])
+        neighbor = _add_product(
+            neighbor,
+            cos(pi * qm / L) / L,
+            rho[qm, UP] + rho[qm, DOWN],
+            rho[mq, UP] + rho[mq, DOWN],
+        )
+        summed.add(qm)
+        if mq in summed:
+            for key in {(qm, UP), (qm, DOWN), (mq, UP), (mq, DOWN)}:
+                del rho[key]
+    return _canonical(onsite), _canonical(neighbor)
 
 
 @lru_cache(maxsize=4)

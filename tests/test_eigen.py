@@ -1,5 +1,7 @@
 """Eigensolver checks: dense path, Lanczos path, dispatch, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -14,7 +16,13 @@ from ehub.eigen import (
     _lcg_start_vector,
 )
 from ehub.fock import BlockSpec, Sector, enumerate_sector
-from ehub.hamiltonian import ModelParams, SparseHamiltonian, build_real_hamiltonian
+from ehub.hamiltonian import (
+    ModelParams,
+    SparseHamiltonian,
+    _cached_real_terms,
+    _cached_species_terms,
+    build_real_hamiltonian,
+)
 from ehub.rdm import reduced_density_matrix, von_neumann_entropy
 
 
@@ -184,6 +192,50 @@ def test_two_pass_path_runs_only_above_the_memory_budget(monkeypatch):
     assert len(called) == 1
 
 
+def _record_builds(monkeypatch):
+    """Record which Hamiltonian ``ground_state`` builds: 'csr' or 'product'."""
+    built = []
+    for name, kind in (("build_real_hamiltonian", "csr"), ("build_species_hamiltonian", "product")):
+        def spy(*args, _build=getattr(ehub.eigen, name), _kind=kind):
+            built.append(_kind)
+            return _build(*args)
+        monkeypatch.setattr(ehub.eigen, name, spy)
+    return built
+
+
+def test_ground_state_takes_the_product_path_by_the_same_budget_rule(monkeypatch):
+    params = ModelParams(L=8, U=1.0, V=0.5)
+    built = _record_builds(monkeypatch)
+    monkeypatch.setattr(ehub.eigen, "_LANCZOS_MEMORY_BUDGET", 300 * 4900 * 8)
+    stored = ground_state(params, max_iter=300)
+    assert built == ["csr"]
+    product = ground_state(params, max_iter=301)
+    assert built == ["csr", "product"]
+    assert abs(product.energy - stored.energy) <= 1e-10
+    assert abs(abs(np.vdot(product.amplitudes, stored.amplitudes)) - 1.0) <= 1e-9
+    momentum = ground_state(params, space="momentum", max_iter=301)  # momentum stays on CSR
+    assert built == ["csr", "product"] and abs(momentum.energy - stored.energy) <= 1e-10
+
+
+def test_L12_ground_state_builds_no_csr():
+    # the CSR path peaks at ~420 MB here (the hop build's transient beside
+    # the 145 MB matrix); the product path holds ~80 MB
+    _cached_species_terms.cache_clear()
+    before = _cached_real_terms.cache_info()
+    tracemalloc.start()
+    try:
+        result = ground_state(ModelParams(L=12, U=4.0, V=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    after = _cached_real_terms.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert peak <= 150e6
+    assert result.method == "lanczos" and result.residual <= 1e-8
+    assert result.amplitudes.size == 853776
+    assert np.linalg.norm(result.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
 def _entropies(result, basis):
     return np.array([
         von_neumann_entropy(reduced_density_matrix(result, basis, BlockSpec.contiguous_sites(l)))
@@ -197,8 +249,10 @@ def test_two_pass_matches_stored_basis_at_L10(monkeypatch, U, V):
     params = ModelParams(L=10, U=U, V=V)
     basis = enumerate_sector(Sector.half_filled(10))
     stored = ground_state(params)
+    built = _record_builds(monkeypatch)
     monkeypatch.setattr(ehub.eigen, "_LANCZOS_MEMORY_BUDGET", 0)
     two_pass = ground_state(params)
+    assert built == ["product"]
     assert two_pass.method == "lanczos"
     assert abs(two_pass.energy - stored.energy) <= 1e-10
     assert abs(two_pass.gap - stored.gap) <= 1e-9

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from ehub.fock import Sector, enumerate_sector, mode_index
+from ehub.fock import DOWN, UP, Sector, enumerate_sector, mode_index
 from ehub.hamiltonian import (
     MAX_L,
     ModelParams,
@@ -15,10 +15,12 @@ from ehub.hamiltonian import (
     _hopping_matrix,
     boundary_for,
     build_real_hamiltonian,
+    build_species_hamiltonian,
     double_occupancy_counts,
     neighbor_density_products,
     one_body_matrix,
     real_terms,
+    species_terms,
 )
 from ehub.momentum import _density_hops, allowed_momenta
 from oracles import apply_operator_string, diagonal_energy, hermiticity_defect
@@ -311,3 +313,54 @@ def test_hop_build_holds_no_duplicate_copies():
         tracemalloc.stop()
     result_bytes = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
     assert peak <= 2.5 * result_bytes
+
+
+def _product_form_cases():
+    """Every (N_up, N_dn) sector of L = 4, 6 and 8, and the half-filled L = 10 one."""
+    cases = [(L, nup, ndn) for L in (4, 6, 8) for nup in range(L + 1) for ndn in range(L + 1)]
+    return cases + [(10, 5, 5)]
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+def test_product_form_matvec_equals_the_csr_matvec(bc):
+    # N_up != N_dn sectors catch a swapped species; both boundaries the wrap twist
+    for L, nup, ndn in _product_form_cases():
+        basis = enumerate_sector(Sector(L, nup, ndn))
+        params = ModelParams(L=L, U=-1.3, V=0.7, t=0.9, bc=bc)
+        H = build_species_hamiltonian(params, basis)
+        assert H.dimension == len(basis) and H.dtype == np.float64
+        x = np.random.default_rng(len(basis)).standard_normal(len(basis))
+        got = H.from_product(H.matvec(H.to_product(x)))
+        want = build_real_hamiltonian(params, basis).matvec(x)
+        assert np.abs(got - want).max() <= 1e-13, (L, nup, ndn)
+    with pytest.raises(ValueError, match="length"):
+        H.matvec(x[:-1])
+
+
+def test_product_order_round_trip_is_exact():
+    for L, nup, ndn in ((6, 3, 3), (8, 3, 5), (10, 5, 5)):
+        basis = enumerate_sector(Sector(L, nup, ndn))
+        H = build_species_hamiltonian(ModelParams(L=L, U=1.0, V=0.5), basis)
+        x = np.random.default_rng(L).standard_normal(len(basis))
+        assert H.from_product(H.to_product(x)).tobytes() == x.tobytes()
+        assert H.to_product(H.from_product(x)).tobytes() == x.tobytes()
+
+
+def _oracle_gauge_sign(basis, config):
+    """<config in up-block-first order | config in site-major order>, from operator strings:
+    empty the configuration mode by mode, then create it up modes first."""
+    modes = [m for m in range(basis.nmodes) if config >> m & 1]
+    up_first = [m for m in modes if m % 2 == UP] + [m for m in modes if m % 2 == DOWN]
+    steps = [(m, "annihilate") for m in modes] + [(m, "create") for m in reversed(up_first)]
+    target, source, sign = apply_operator_string(basis, steps)
+    assert list(source) == list(target) == [basis.index_of(config)]
+    return int(sign[0])
+
+
+def test_gauge_signs_equal_the_operator_string_oracle():
+    for nup, ndn in ((6, 6), (1, 5), (2, 4), (3, 3)):
+        basis = enumerate_sector(Sector(6, nup, ndn))
+        terms = species_terms(basis, "periodic")
+        want = [_oracle_gauge_sign(basis, int(basis.configs[i])) for i in terms.order]
+        assert terms.gauge.tolist() == want
+    assert want.count(-1) and want.count(1)
